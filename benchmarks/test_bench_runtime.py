@@ -4,8 +4,7 @@ The per-call path re-decomposes and re-compresses every weight on every
 forward — what ``tasd_matmul`` does when used directly.  The compiled plan
 pays that cost once at build time and serves forwards from pre-compressed
 :class:`CompressedNM` operands.  ``test_runtime_compiled_speedup`` fences
-the resulting speedup at >= 3x on a sparse ResNet-18 forward, so the bench
-trajectory tracks it.
+the resulting speedup at >= 3x on a sparse ResNet-18 forward.
 
 On top of that sit the kernel-backend fences: ``test_runtime_autotune_speedup``
 requires the compile-time autotuner to beat the reference ``einsum-gather``
@@ -21,22 +20,21 @@ autotune, with identical backend choices and bit-identical served outputs.
 
 ``test_runtime_metrics_overhead`` fences the telemetry spine: serving with
 the metrics registry and request tracing enabled must stay within 5 % of
-the uninstrumented engine's throughput, and it writes the repo's
-``BENCH_runtime.json`` trajectory point (throughput, p50/p95/p99) —
-appending to the file's bounded ``history`` list, so the perf trajectory
-accumulates across runs instead of overwriting itself.
+the uninstrumented engine's throughput.
 
 ``test_runtime_supervision_overhead`` fences the fault-tolerance layer
 the same way: a supervised process pool (respawn + health pings on) must
 serve within 5 % of the same pool with supervision disabled.
+
+These tests print their measurements and write nothing into the
+repository; the serving benchmark under ``servebench/`` is the
+measurement of record.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,11 +316,10 @@ def test_runtime_metrics_overhead(serving_setup):
     counter increments per micro-batch — bisect into a fixed bucket table
     under an uncontended lock — so instrumentation must be throughput-
     neutral.  Interleaved rounds with best-of medians damp scheduler noise;
-    the winning instrumented round also provides the latency percentiles
-    for the ``BENCH_runtime.json`` trajectory point.  Like the scaling
-    fences, the ratio assertion is skipped on a single-core machine,
-    where run-to-run jitter dwarfs the 5 % budget (the measurement and
-    trajectory point are still taken everywhere).
+    the winning instrumented round also provides the printed latency
+    percentiles.  Like the scaling fences, the ratio assertion is skipped
+    on a single-core machine, where run-to-run jitter dwarfs the 5 %
+    budget (the measurement is still taken and printed everywhere).
     """
     model, transform, x = serving_setup
     plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
@@ -355,37 +352,6 @@ def test_runtime_metrics_overhead(serving_setup):
         f"{best.p50 * 1e3:.2f} ms / p95 {best.p95 * 1e3:.2f} ms / "
         f"p99 {best.p99 * 1e3:.2f} ms"
     )
-    bench_path = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
-    record = {
-        "workload": "serving: 48 x 1-sample requests, autotuned sparse "
-        "ResNet-18, 2 engine workers, max_batch 4",
-        "throughput_rps": round(on, 2),
-        "throughput_uninstrumented_rps": round(off, 2),
-        "metrics_overhead_pct": round(overhead * 100.0, 2),
-        "latency_ms": {
-            "p50": round(best.p50 * 1e3, 3),
-            "p95": round(best.p95 * 1e3, 3),
-            "p99": round(best.p99 * 1e3, 3),
-        },
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    # Accumulate a perf trajectory instead of overwriting the single data
-    # point: the latest record stays flat at the top level (existing
-    # readers key on "throughput_rps" there) and every run appends to a
-    # bounded "history" list.
-    history: list = []
-    if bench_path.exists():
-        try:
-            previous = json.loads(bench_path.read_text())
-        except json.JSONDecodeError:
-            previous = {}
-        history = list(previous.get("history", []))
-        if not history and "throughput_rps" in previous:
-            # Seed the trajectory with the pre-history flat record.
-            history.append({k: v for k, v in previous.items() if k != "history"})
-    history.append(record)
-    del history[:-50]
-    bench_path.write_text(json.dumps({**record, "history": history}, indent=2) + "\n")
     assert on > 0 and off > 0
     if _usable_cores() < 2:
         pytest.skip(
@@ -409,11 +375,10 @@ def test_runtime_supervision_overhead(serving_setup):
     process pool with respawn + health checks on must serve within 5 %
     of the same pool with supervision disabled.  Same machine, same
     workload, interleaved best-of rounds (a cross-machine comparison
-    against the committed ``BENCH_runtime.json`` absolute numbers would
-    fence the hardware, not the code — the baseline is printed for the
-    trajectory instead).  Like the scaling fences, the ratio assertion
-    is skipped on a single-core machine, where the supervisor thread has
-    no spare core to hide on and jitter dwarfs the 5 % budget.
+    against recorded absolute numbers would fence the hardware, not the
+    code).  Like the scaling fences, the ratio assertion is skipped on a
+    single-core machine, where the supervisor thread has no spare core to
+    hide on and jitter dwarfs the 5 % budget.
     """
     model, transform, x = serving_setup
     plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
@@ -444,15 +409,9 @@ def test_runtime_supervision_overhead(serving_setup):
         supervised.append(serve_round(True))
     on, off = max(supervised), max(unsupervised)
     overhead = 1.0 - on / off
-    baseline = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
-    baseline_note = ""
-    if baseline.exists():
-        recorded = json.loads(baseline.read_text()).get("throughput_rps")
-        if recorded:
-            baseline_note = f"; BENCH_runtime.json baseline {recorded:.1f} req/s"
     print(
         f"\nprocess-pool serving: unsupervised {off:.1f} req/s, supervised "
-        f"{on:.1f} req/s -> {overhead * 100.0:+.1f}% overhead{baseline_note}"
+        f"{on:.1f} req/s -> {overhead * 100.0:+.1f}% overhead"
     )
     assert on > 0 and off > 0
     if _usable_cores() < 2:
@@ -512,8 +471,7 @@ def test_runtime_shard_scaling_latency(serving_setup):
     ``scatter-csr`` backend — the kernel whose cost actually tracks the
     equal-nnz budgets the partitioner balances.  Like the other scaling
     fences the ratio assertion is skipped on a single-core machine, but
-    the measurement is taken and the ``BENCH_runtime.json`` trajectory
-    point recorded everywhere.
+    the measurement is taken and printed everywhere.
     """
     del serving_setup  # shares the module fixture signature, not the model
     from repro.nn.models.mlp import MLP
@@ -556,32 +514,6 @@ def test_runtime_shard_scaling_latency(serving_setup):
         f"{quad * 1e3:.2f} ms -> {speedup:.2f}x ({_usable_cores()} usable cores)"
     )
     assert single > 0 and quad > 0
-
-    bench_path = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
-    record = {
-        "workload": "intra-layer sharding: single forward, skewed 1024x512 "
-        "scatter-csr layer split into 4 equal-nnz shards",
-        "latency_ms_1_worker": round(single * 1e3, 3),
-        "latency_ms_4_workers": round(quad * 1e3, 3),
-        "shard_speedup": round(speedup, 2),
-        "shard_imbalance": round(lp.shards.imbalance, 4),
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    # Same bounded trajectory as the serving record; the flat top-level
-    # record (keyed on "throughput_rps") belongs to the metrics-overhead
-    # fence, so the latest shard point rides a dedicated key beside it.
-    previous = {}
-    if bench_path.exists():
-        try:
-            previous = json.loads(bench_path.read_text())
-        except json.JSONDecodeError:
-            previous = {}
-    history = list(previous.get("history", []))
-    history.append(record)
-    del history[:-50]
-    previous["shard_scaling"] = record
-    previous["history"] = history
-    bench_path.write_text(json.dumps(previous, indent=2) + "\n")
 
     if _usable_cores() < 2:
         pytest.skip(

@@ -293,15 +293,16 @@ def _serve(args: argparse.Namespace) -> str:
             if args.request_timeout is not None:
                 pool_kwargs["request_timeout"] = args.request_timeout
         executor_cm = make_pool(args.pool, model, plan, workers=workers, **pool_kwargs)
+    window = {} if args.window is None else {"batch_window": args.window}
     metrics_note = None
     with executor_cm as executor:
         with ServingEngine(
             executor,
             max_batch=args.max_batch,
-            batch_window=args.window,
             workers=workers,
             max_queue=args.max_queue,
             max_retries=args.max_retries,
+            **window,
         ) as engine:
             server = (
                 engine.serve_metrics(port=args.metrics_port)
@@ -465,7 +466,11 @@ def main(argv: list[str] | None = None) -> int:
         "--max-batch", type=int, default=4, help="micro-batch size cap (serve)"
     )
     parser.add_argument(
-        "--window", type=float, default=0.002, help="micro-batching window in seconds (serve)"
+        "--window",
+        type=float,
+        default=None,
+        help="extra seconds to wait for new arrivals before dispatching a short "
+        "micro-batch (serve; default: the engine's, which never waits)",
     )
     parser.add_argument(
         "--autotune",

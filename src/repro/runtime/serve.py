@@ -1,10 +1,16 @@
 """Serving engine: request queue, micro-batching, worker loop, telemetry.
 
 Requests are single inputs (or small batches) submitted from any thread.
-Workers coalesce up to ``max_batch`` queued requests within a
-``batch_window`` seconds time window into one micro-batch, run it through
-the shared executor, split the outputs back per request, and resolve each
-request's future with its result and latency stats.
+Batch formation is *work-conserving*: a worker that picks up a request
+first takes every compatible request already queued behind it, without
+blocking, up to ``max_batch``, and dispatches at once.  An idle engine
+therefore serves a lone request with no added wait, and a busy one
+coalesces exactly the backlog that queued while its previous forward ran
+— which is where batching pays.  ``batch_window`` is an opt-in extra
+wait for *new* arrivals after the backlog is drained (default ``0.0``:
+none).  Each micro-batch runs through the shared executor, its outputs
+are split back per request, and each request's future resolves with its
+result and latency stats.
 
 The engine talks only to the :class:`~repro.runtime.pool.WorkerPool` seam
 (``install`` / ``run`` / ``stats``) and never cares what substrate sits
@@ -131,7 +137,12 @@ class ServingEngine:
     max_batch : int
         Maximum requests coalesced into one micro-batch.
     batch_window : float
-        Seconds a worker waits for additional requests after the first.
+        Extra seconds a worker waits for *new* arrivals once it has
+        drained the compatible backlog and the batch is still short of
+        ``max_batch``.  The default ``0.0`` never waits: an idle engine
+        dispatches a lone request at once, and requests already queued
+        are coalesced regardless of the window.  A positive window trades
+        that latency for fuller batches under sparse arrivals.
     workers : int
         Worker threads draining the queue.  Pair ``workers=N`` with a
         pool of ``N`` workers (``make_pool(..., workers=N)``) to scale
@@ -168,7 +179,7 @@ class ServingEngine:
         self,
         executor: WorkerPool,
         max_batch: int = 8,
-        batch_window: float = 0.002,
+        batch_window: float = 0.0,
         workers: int = 1,
         metrics: "MetricsRegistry | bool | None" = True,
         trace_capacity: int = 256,
@@ -748,7 +759,13 @@ class ServingEngine:
                 self._pending_cond.notify_all()
 
     def _gather_batch(self, first: _Request) -> tuple[list[_Request], "_Request | None"]:
-        """Coalesce compatible requests behind ``first`` within the window.
+        """Coalesce compatible requests behind ``first`` into one batch.
+
+        The backlog comes first: requests already queued are taken without
+        blocking, so an idle engine dispatches at once and a busy one
+        batches what queued during its last forward.  Only once the queue
+        is empty does the worker wait for new arrivals, and only until
+        ``batch_window`` seconds after it began gathering.
 
         Returns the batch plus an optional *carry*: a request whose sample
         shape did not match the batch.  The carry stays with this worker (it
@@ -759,17 +776,19 @@ class ServingEngine:
         carry: _Request | None = None
         if first.shard:
             # A sharded request is a latency request: it owns its forward
-            # (the whole pool scatters one batch), so waiting the batch
-            # window to coalesce it would only add the latency it exists
-            # to remove.
+            # (the whole pool scatters one batch), so coalescing it would
+            # only add the latency it exists to remove.
             return batch, carry
         deadline = time.perf_counter() + self.batch_window
         while len(batch) < self.max_batch:
             remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
             try:
-                req = self._queue.get(timeout=remaining)
+                # Past the window, still take whatever is already queued.
+                req = (
+                    self._queue.get(timeout=remaining)
+                    if remaining > 0
+                    else self._queue.get_nowait()
+                )
             except queue.Empty:
                 break
             if req is None:  # shutdown sentinel: hand it to another worker

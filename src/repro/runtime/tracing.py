@@ -5,7 +5,8 @@ life inside the serving engine, split into the spans that matter for
 debugging tail latency:
 
 - ``enqueue``    — submit → a worker pulled it off the request queue;
-- ``batch_form`` — pulled → its micro-batch dispatched (window waiting);
+- ``batch_form`` — pulled → its micro-batch dispatched (backlog drained,
+  plus any opt-in batch-window wait);
 - ``execute``    — dispatch → the pool returned the outputs;
 - ``reply``      — outputs → this request's future resolved.
 

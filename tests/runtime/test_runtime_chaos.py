@@ -341,11 +341,16 @@ class TestChaosMonkey:
 # Deadlines, admission control, cancellation
 # --------------------------------------------------------------------- #
 class TestDeadlinesAndAdmission:
-    def test_expired_deadline_dropped_before_dispatch(self, compiled, batch):
+    def test_expired_deadline_dropped_before_dispatch(self, compiled, batch, gated_pool):
         model, plan = compiled
-        with ServingEngine(PlanExecutor(model, plan), workers=1) as engine:
+        pool = gated_pool(PlanExecutor(model, plan).run)
+        with ServingEngine(pool, workers=1) as engine:
+            # Hold the only worker, so the deadline expires while queued.
+            engine.submit(batch)
+            assert pool.entered.wait(30.0)
             future = engine.submit(batch, deadline=1e-4)
             time.sleep(0.02)
+            pool.release()
             with pytest.raises(DeadlineExceeded):
                 future.result(timeout=30.0)
             trace = engine.traces()[-1]

@@ -9,6 +9,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import TASDConfig
 from repro.nn.models.resnet import resnet18
@@ -59,6 +61,101 @@ def test_requests_are_coalesced(executor):
     # All four requests were submitted inside one window, so at least some
     # of them must have shared a micro-batch.
     assert report.mean_batch_size > 1.0
+
+
+def test_zero_window_coalesces_the_backlog(executor, gated_pool):
+    """With ``batch_window=0`` a worker that falls behind still batches:
+    every request queued while its forward ran joins the next micro-batch,
+    up to ``max_batch``, and each one's result equals serving it alone."""
+    rng = np.random.default_rng(17)
+    max_batch = 4
+    inputs = [rng.normal(size=(1, 3, 8, 8)) for _ in range(2 * max_batch + 1)]
+    singles = [executor.run(x) for x in inputs]
+    pool = gated_pool(executor.run)
+    with ServingEngine(pool, max_batch=max_batch, batch_window=0.0) as engine:
+        gated = engine.submit(inputs[0])
+        assert pool.entered.wait(30.0)
+        futures = [engine.submit(x) for x in inputs]
+        pool.release()
+        gated.result(timeout=60.0)
+        outputs = [f.result(timeout=60.0) for f in futures]
+    assert [len(b) for b in pool.batches[1:]] == [max_batch, max_batch, 1]
+    for single, served in zip(singles, outputs):
+        np.testing.assert_allclose(served, single, atol=1e-12)
+
+
+_SAMPLE_SHAPES = [(3,), (4,), (2, 2)]
+_DTYPES = [np.float32, np.float64]
+
+
+@given(
+    max_batch=st.integers(1, 8),
+    window=st.sampled_from([0.0, 0.002]),
+    requests=st.lists(
+        st.tuples(
+            st.sampled_from(range(len(_SAMPLE_SHAPES))),
+            st.sampled_from(range(len(_DTYPES))),
+            st.integers(1, 3),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_batch_formation_properties(gated_pool, max_batch, window, requests):
+    """Batches formed from a backlog: bounded by ``max_batch``, one sample
+    shape and dtype each, FIFO within and across batches, every request
+    resolved exactly once with its own rows — and work-conserving: each
+    batch is the longest compatible run the queue head allows."""
+    pool = gated_pool(lambda x: x * 2)  # exact, so rows identify requests
+    inputs = [
+        np.full((rows, *_SAMPLE_SHAPES[s]), i, dtype=_DTYPES[d])
+        for i, (s, d, rows) in enumerate(requests)
+    ]
+    resolved = [0] * len(inputs)
+
+    def count(i):
+        def done(_future):
+            resolved[i] += 1
+
+        return done
+
+    with ServingEngine(pool, max_batch=max_batch, batch_window=window) as engine:
+        gated = engine.submit(np.full((1, 1), -1.0))
+        assert pool.entered.wait(30.0)
+        futures = [engine.submit(x) for x in inputs]
+        for i, f in enumerate(futures):
+            f.add_done_callback(count(i))
+        pool.release()
+        gated.result(timeout=30.0)
+        outputs = [f.result(timeout=30.0) for f in futures]
+
+    batches = []
+    for x in pool.batches[1:]:
+        row_ids = x.reshape(x.shape[0], -1)[:, 0].astype(int).tolist()
+        # A request's rows are adjacent: collapse them to one id each.
+        ids = [r for k, r in enumerate(row_ids) if k == 0 or r != row_ids[k - 1]]
+        assert len(ids) <= max_batch
+        assert {(inputs[i].shape[1:], inputs[i].dtype) for i in ids} == {
+            (x.shape[1:], x.dtype)
+        }
+        batches.append(ids)
+    assert [i for ids in batches for i in ids] == list(range(len(inputs)))  # FIFO
+    expected: list[list[int]] = []
+    for i, x in enumerate(inputs):
+        head = expected[-1][0] if expected else None
+        if (
+            head is not None
+            and len(expected[-1]) < max_batch
+            and (x.shape[1:], x.dtype) == (inputs[head].shape[1:], inputs[head].dtype)
+        ):
+            expected[-1].append(i)
+        else:
+            expected.append([i])
+    assert batches == expected
+    assert resolved == [1] * len(inputs)
+    for x, y in zip(inputs, outputs):
+        assert y.dtype == x.dtype
+        np.testing.assert_array_equal(y, x * 2)
 
 
 def test_multi_sample_requests_split_correctly(executor):
