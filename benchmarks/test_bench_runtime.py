@@ -8,11 +8,10 @@ the resulting speedup at >= 3x on a sparse ResNet-18 forward.
 
 On top of that sit the kernel-backend fences: ``test_runtime_autotune_speedup``
 requires the compile-time autotuner to beat the reference ``einsum-gather``
-compiled path by >= 1.5x on the same serving workload, and the worker-pool
-benches track how serving throughput scales across the pool substrates:
-thread replicas (asserted >= 1.5x for 4 workers where the machine has
-cores to scale onto) and process workers over shared-memory operands
-(asserted >= 2x for 4 workers — no GIL in common, so the fence is higher).
+compiled path by >= 1.5x on the same serving workload, and the process-pool
+benches track how serving throughput scales with worker processes over
+shared-memory operands (asserted >= 2x for 4 workers where the machine has
+cores to scale onto — no GIL in common).
 
 ``test_runtime_plan_persistence_warm_restart`` fences the restart story:
 loading a persisted plan artifact must be >= 5x faster than compile +
@@ -47,12 +46,10 @@ from repro.runtime import (
     OperandCache,
     PlanExecutor,
     ProcessWorkerPool,
-    ReplicaExecutor,
     ServingEngine,
     backend_names,
     compile_plan,
     load_plan,
-    make_pool,
 )
 from repro.tasder.transform import TASDTransform
 
@@ -140,12 +137,13 @@ def test_bench_autotuned_forward(benchmark, serving_setup):
 
 
 def test_bench_replica_serving(benchmark, serving_setup):
-    """Serving throughput with 4 replica workers draining 24 requests."""
+    """Serving throughput with 4 model replicas (worker processes) draining
+    24 requests."""
     model, transform, x = serving_setup
     plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
 
     def serve_round():
-        with ReplicaExecutor(model, plan, replicas=4) as executor:
+        with ProcessWorkerPool(model, plan, workers=4) as executor:
             with ServingEngine(executor, max_batch=4, batch_window=0.0, workers=4) as engine:
                 futures = [engine.submit(x[:1]) for _ in range(24)]
                 for f in futures:
@@ -157,10 +155,15 @@ def test_bench_replica_serving(benchmark, serving_setup):
 
 
 def _serve_throughput(
-    model, plan, x, workers: int, requests: int, kind: str = "thread"
+    model, plan, x, workers: int, requests: int, kind: str = "process"
 ) -> float:
-    """Requests/second over one drain of ``requests`` pre-submitted inputs."""
-    with make_pool(kind, model, plan, workers=workers) as executor:
+    """Requests/second over one drain of ``requests`` pre-submitted inputs.
+
+    ``kind`` names the pool substrate; the process pool is the only
+    multi-worker one.
+    """
+    assert kind == "process", f"no {kind!r} worker pool"
+    with ProcessWorkerPool(model, plan, workers=workers) as executor:
         executor.install()  # workers built outside the measured window
         with ServingEngine(
             executor, max_batch=2, batch_window=0.0, workers=workers
@@ -169,33 +172,6 @@ def _serve_throughput(
             for f in futures:
                 f.result(timeout=120.0)
     return engine.report().throughput
-
-
-def test_replica_scaling_throughput(serving_setup):
-    """Acceptance fence: 4 replica workers >= 1.5x single-worker throughput.
-
-    True parallel speedup needs cores to scale onto: on a single-core
-    machine the fence is physically unsatisfiable (all forwards share one
-    CPU no matter how many replicas exist), so there the ratio assertion is
-    skipped and only sanity is checked.  Correctness of replica serving is
-    covered by ``tests/runtime/test_runtime_replica.py``.
-    """
-    model, transform, x = serving_setup
-    plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
-    _serve_throughput(model, plan, x, workers=1, requests=8)  # warm caches
-    single = _serve_throughput(model, plan, x, workers=1, requests=32)
-    quad = _serve_throughput(model, plan, x, workers=4, requests=32)
-    scaling = quad / single
-    print(f"\nserving throughput: 1 worker {single:.1f} req/s, "
-          f"4 replica workers {quad:.1f} req/s -> {scaling:.2f}x "
-          f"({_usable_cores()} usable cores)")
-    assert single > 0 and quad > 0
-    if _usable_cores() < 2:
-        pytest.skip(
-            f"replica scaling fence needs >= 2 cores; this machine exposes "
-            f"{_usable_cores()} (measured {scaling:.2f}x)"
-        )
-    assert scaling >= 1.5, f"4 replica workers only {scaling:.2f}x single-worker throughput"
 
 
 def test_bench_process_pool_serving(benchmark, serving_setup):
@@ -459,67 +435,3 @@ def test_runtime_compiled_speedup(serving_setup):
         f"{timings['per_call'] * 1e3:.2f} ms per forward -> {speedup:.2f}x; {cache_stats}"
     )
     assert speedup >= 3.0, f"compiled plan only {speedup:.2f}x faster than per-call"
-
-
-def test_runtime_shard_scaling_latency(serving_setup):
-    """Acceptance fence: sharding one forward across 4 process workers cuts
-    its latency >= 1.5x vs the same sharded plan on a single worker.
-
-    The workload is the one intra-layer sharding exists for: a single
-    request dominated by one large, heavily *skewed* layer (a block of
-    dense rows above a long sparse tail) on the nnz-proportional
-    ``scatter-csr`` backend — the kernel whose cost actually tracks the
-    equal-nnz budgets the partitioner balances.  Like the other scaling
-    fences the ratio assertion is skipped on a single-core machine, but
-    the measurement is taken and printed everywhere.
-    """
-    del serving_setup  # shares the module fixture signature, not the model
-    from repro.nn.models.mlp import MLP
-    from repro.runtime import row_nnz_stats
-
-    model = MLP(512, hidden=(1024,), num_classes=10)
-    big = next(layer for _, layer in gemm_layers(model) if layer.weight.data.shape == (1024, 512))
-    rng = np.random.default_rng(3)
-    w = np.zeros((1024, 512))
-    w[:128] = rng.normal(size=(128, 512))  # dense block: the critical path
-    tail = np.arange(128, 1024)
-    w[tail, rng.integers(0, 512, size=tail.size)] = rng.normal(size=tail.size)
-    big.weight.data[...] = w
-    transform = TASDTransform(
-        weight_configs={name: TASDConfig.parse("2:4") for name, _ in gemm_layers(model)}
-    )
-    plan = compile_plan(model, transform, backend="scatter-csr", shards=4)
-    lp = plan.layers[next(n for n, layer in gemm_layers(model) if layer is big)]
-    _, _, _, skew = row_nnz_stats(lp.operand)
-    assert skew > 2.0 and lp.shards is not None and lp.shards.num_shards == 4
-    x = np.random.default_rng(1).normal(size=(8, 512))
-
-    def sharded_latency(workers: int) -> float:
-        with make_pool("process", model, plan, workers=workers) as pool:
-            pool.run_sharded(x)  # warm workers, slice caches, CSR prepare
-            samples = []
-            for _ in range(9):
-                t0 = time.perf_counter()
-                pool.run_sharded(x)
-                samples.append(time.perf_counter() - t0)
-        return sorted(samples)[len(samples) // 2]
-
-    single = sharded_latency(1)
-    quad = sharded_latency(4)
-    speedup = single / quad
-    print(
-        f"\nsharded forward latency (skewed {lp.shards.rows}-row layer, "
-        f"row-skew {skew:.1f}x, 4 shards at {lp.shards.imbalance:.3f}x nnz "
-        f"imbalance): 1 process worker {single * 1e3:.2f} ms, 4 workers "
-        f"{quad * 1e3:.2f} ms -> {speedup:.2f}x ({_usable_cores()} usable cores)"
-    )
-    assert single > 0 and quad > 0
-
-    if _usable_cores() < 2:
-        pytest.skip(
-            f"shard-scaling fence needs >= 2 cores; this machine exposes "
-            f"{_usable_cores()} (measured {speedup:.2f}x)"
-        )
-    assert speedup >= 1.5, (
-        f"4 process workers only cut sharded latency {speedup:.2f}x vs 1 worker"
-    )

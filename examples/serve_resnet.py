@@ -4,8 +4,8 @@ A sparse ResNet-18's weights are decomposed and compressed into structured
 N:M operands exactly once, at plan-build time; every request after that
 runs only the structured sparse GEMMs.  Compilation also *autotunes* the
 kernel backend per layer (micro-benchmarking the registry of structured
-GEMM implementations), and serving runs replica-parallel: each engine
-worker executes on its own model replica sharing the one compiled plan.
+GEMM implementations), and a micro-batching engine serves the compiled
+plan in-process through a :class:`PlanExecutor`.
 
 The compiled plan also *persists*: it is saved to a digest-keyed ``.npz``
 artifact and reloaded as a warm restart would — no re-decomposition, no
@@ -31,14 +31,6 @@ serving), ``scale_to`` resizes the worker fleet in place, and ``drain``
 finishes every admitted request before stopping — the CLI maps SIGHUP
 and SIGTERM to the same operations.
 
-And when one request's latency matters more than fleet throughput,
-section 9 flips the parallelism *inside* the forward: each large layer's
-gather rows are partitioned into equal-**nnz** shards (not equal rows —
-the TASD decomposition's per-row population is skewed, so row counts
-lie about work) and one request's GEMMs scatter across all the process
-workers at once, gathered bit-identically — ``submit(x, shard=True)``,
-or ``serve --shard-layers`` from the CLI.
-
 Run:  python examples/serve_resnet.py
 """
 
@@ -53,11 +45,11 @@ from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
 from repro.runtime import (
     OperandCache,
-    ReplicaExecutor,
+    PlanExecutor,
+    ProcessWorkerPool,
     ServingEngine,
     compile_plan,
     load_plan,
-    make_pool,
 )
 from repro.tasder.transform import TASDTransform
 
@@ -96,12 +88,13 @@ with tempfile.TemporaryDirectory() as tmpdir:
 assert plan.backend_choices() == fresh_choices  # tuning survived the restart
 
 # ---------------------------------------------------------------------------
-# 4. Serve replica-parallel: four engine workers, each with its own model
-#    replica (weights aliased, operands shared) — no executor lock.
+# 4. Serve in-process: the engine coalesces queued requests into
+#    micro-batches of up to max_batch and runs each as one forward of the
+#    plan-installed model.
 # ---------------------------------------------------------------------------
 rng = np.random.default_rng(0)
-with ReplicaExecutor(model, plan, replicas=4) as executor:
-    with ServingEngine(executor, max_batch=4, batch_window=0.002, workers=4) as engine:
+with PlanExecutor(model, plan) as executor:
+    with ServingEngine(executor, max_batch=4) as engine:
         futures = [engine.submit(rng.normal(size=(1, 3, 8, 8))) for _ in range(16)]
         outputs = [f.result(timeout=120.0) for f in futures]
     print(engine.report().summary(), "\n")
@@ -115,25 +108,25 @@ assert all(out.shape == (1, 10) for out in outputs)
 #    weights) is exported once into a shared-memory segment; each worker
 #    process attaches zero-copy, installs the plan on its own model copy,
 #    and serves with no GIL in common.  Outputs are bit-identical to the
-#    thread pool; per-worker counters merge into one stats() view.  This
-#    is the compile-once / serve-everywhere step a production deployment
-#    takes after `compile --autotune --save-plan plan.npz`:
+#    in-process PlanExecutor; per-worker counters merge into one stats()
+#    view.  This is the compile-once / serve-everywhere step a production
+#    deployment takes after `compile --autotune --save-plan plan.npz`:
 #
-#        python -m repro.cli serve --plan plan.npz --pool process --workers 4
+#        python -m repro.cli serve --plan plan.npz --workers 4
 #
 #    Guarded so spawn-start platforms (which re-import this script inside
 #    each worker) don't recursively spawn pools from the re-import.
 # ---------------------------------------------------------------------------
 if __name__ == "__main__":
     inputs = [rng.normal(size=(1, 3, 8, 8)) for _ in range(16)]
-    with make_pool("thread", model, plan, workers=2) as pool:
-        thread_outputs = pool.run_many(inputs)
-    with make_pool("process", model, plan, workers=2) as pool:
+    with PlanExecutor(model, plan) as executor:
+        local_outputs = executor.run_many(inputs)
+    with ProcessWorkerPool(model, plan, workers=2) as pool:
         process_outputs = pool.run_many(inputs)
         print("\nprocess pool:", pool.stats().table().splitlines()[-1])
-    for a, b in zip(thread_outputs, process_outputs):
+    for a, b in zip(local_outputs, process_outputs):
         np.testing.assert_array_equal(b, a)  # bit-identical across substrates
-    print("process-pool outputs bit-identical to thread-pool outputs")
+    print("process-pool outputs bit-identical to in-process outputs")
 
     # -----------------------------------------------------------------------
     # 6. Watch it live: serve with the metrics endpoint up and scrape your
@@ -149,7 +142,7 @@ if __name__ == "__main__":
     import json
     import urllib.request
 
-    with make_pool("process", model, plan, workers=2) as pool:
+    with ProcessWorkerPool(model, plan, workers=2) as pool:
         with ServingEngine(pool, max_batch=4, batch_window=0.002, workers=2) as engine:
             with engine.serve_metrics(port=0) as server:  # port=0: ephemeral
                 print(f"\nmetrics live at {server.url}/metrics")
@@ -180,7 +173,7 @@ if __name__ == "__main__":
     #    ("degraded": still serving, via respawn-in-progress or the
     #    in-process fallback; "dead": 503).  Try it against a real server:
     #
-    #        python -m repro.cli serve --pool process --workers 4 \
+    #        python -m repro.cli serve --workers 4 \
     #            --metrics-port 9100 --requests 500 &
     #        kill -9 <a worker pid>; curl -s localhost:9100/metrics | \
     #            grep tasd_worker_respawns_total
@@ -188,8 +181,6 @@ if __name__ == "__main__":
     import os
     import signal
     import time
-
-    from repro.runtime import ProcessWorkerPool
 
     pool = ProcessWorkerPool(model, plan, workers=2, respawn_backoff=0.01,
                              health_interval=0.05)
@@ -233,7 +224,7 @@ if __name__ == "__main__":
     #    signals — SIGHUP hot-reloads `--plan`, SIGTERM drains and exits
     #    0:
     #
-    #        python -m repro.cli serve --plan plan.npz --pool process \
+    #        python -m repro.cli serve --plan plan.npz \
     #            --workers 4 --requests 500 &
     #        kill -HUP %1   # hot-swap to the (updated) plan.npz artifact
     #        kill -TERM %1  # drain: finish admitted work, exit 0
@@ -271,47 +262,3 @@ if __name__ == "__main__":
         engine.drain(timeout=60.0)  # door closed, admitted work finished
         assert all(f.done() for f in futures) and engine.queue_depth == 0
         print("drained: every admitted request answered, queue empty")
-
-    # -----------------------------------------------------------------------
-    # 9. Latency mode: shard one forward across the workers.  Everything
-    #    above parallelizes *across* requests — one forward still runs on
-    #    one worker, so a single big layer bounds single-request latency.
-    #    `engine.enable_sharding()` micro-benchmarks each compiled layer
-    #    (fan-out overhead measured against the real pipes, not assumed)
-    #    and picks a per-layer shard count K; a `submit(x, shard=True)`
-    #    request then runs as a *scatter/gather*: each chosen layer's
-    #    gather rows split into K equal-nnz shards (greedy prefix split
-    #    over the per-row nnz profile — equal budgets of actual work, not
-    #    equal row counts), the shards fan out over the already-shared shm
-    #    segment as zero-copy row slices, and the partials concatenate in
-    #    the parent bit-identically.  A worker dying mid-scatter just
-    #    requeues its shards onto the survivors (section 7's machinery).
-    #    Telemetry rides along: `tasd_shard_imbalance_ratio` per layer
-    #    (max/mean shard nnz — 1.0 is perfect balance), a per-shard
-    #    latency histogram, and `tasd_sharded_forwards_total`.  The CLI
-    #    spelling:
-    #
-    #        python -m repro.cli serve --pool process --workers 4 \
-    #            --requests 100 --shard-layers
-    # -----------------------------------------------------------------------
-    pool = ProcessWorkerPool(model, plan, workers=2, respawn_backoff=0.01,
-                             health_interval=0.05)
-    with pool:
-        with ServingEngine(pool, max_batch=4, workers=2) as engine:
-            decisions = engine.enable_sharding()  # measured, per layer
-            chosen = {n: d.spec.num_shards for n, d in decisions.items()
-                      if d.spec is not None}
-            whole = engine.submit(inputs[0]).result(timeout=120.0)
-            sharded = engine.submit(inputs[0], shard=True).result(timeout=120.0)
-            np.testing.assert_array_equal(sharded, whole)  # gather is exact
-            snap = engine.metrics_snapshot()
-            gauges = snap.get("tasd_shard_imbalance_ratio", {}).get("series", [])
-            if chosen:
-                worst = max(s["value"] for s in gauges)
-                detail = (f"{len(chosen)} layers sharded (worst nnz imbalance "
-                          f"{worst:.3f}x)")
-            else:  # small layers + fast cores: the measurements said no
-                detail = "no layer beat its unsharded GEMM here, all stay whole"
-            print(f"\nlatency mode: {detail}; sharded forward bit-identical "
-                  f"either way")
-

@@ -10,12 +10,11 @@ Usage::
 
     python -m repro.cli compile --config 2:4          # build an execution plan
     python -m repro.cli compile --autotune            # + pick kernels per layer
-    python -m repro.cli serve --requests 32 --max-batch 8   # serving demo
-    python -m repro.cli serve --pool thread --workers 4     # replica-parallel
-    python -m repro.cli serve --pool process --workers 4    # past the GIL
+    python -m repro.cli serve --requests 32 --max-batch 8   # in-process serving
+    python -m repro.cli serve --workers 4                   # 4 worker processes
     python -m repro.cli serve --autotune --tune-observed    # tune on real shapes
     python -m repro.cli serve --metrics-port 9100           # live /metrics scrape
-    python -m repro.cli serve --pool process --max-queue 64 --request-timeout 30 \
+    python -m repro.cli serve --workers 2 --max-queue 64 --request-timeout 30 \
         --max-retries 2 --no-respawn                        # fault-tolerance knobs
     python -m repro.cli compile --metrics-json plan_metrics.json
     python -m repro.cli lint --strict        # runtime invariant linter
@@ -28,6 +27,13 @@ whose weights have drifted::
 
     python -m repro.cli compile --autotune --save-plan plan.npz
     python -m repro.cli serve --plan plan.npz --requests 32
+
+``serve`` runs on one of two substrates: ``--workers 1`` (the default)
+serves in-process through a single plan executor, and ``--workers N``
+with N > 1 through a supervised pool of N worker processes that share
+the compiled plan's operands through shared memory.  The supervision
+flags ``--request-timeout`` and ``--no-respawn`` need worker processes
+and are refused in-process.
 """
 
 from __future__ import annotations
@@ -254,12 +260,20 @@ def _restore_serve_signals(previous: "dict | None") -> None:
 def _serve(args: argparse.Namespace) -> str:
     import numpy as np
 
-    from repro.runtime import PlanExecutor, ServingEngine, SwapRejected, make_pool
+    from repro.runtime import PlanExecutor, ProcessWorkerPool, ServingEngine, SwapRejected
 
     _check_runtime_flags(args)
-    workers = args.workers if args.workers is not None else args.replicas
+    workers = args.workers
     if workers <= 0:
         raise SystemExit(f"--workers must be positive, got {workers}")
+    if workers == 1 and (args.request_timeout is not None or not args.respawn):
+        # In-process serving has no worker process to time out or respawn:
+        # refuse the supervision flags rather than silently dropping them.
+        raise SystemExit(
+            "--request-timeout and --no-respawn supervise worker processes, "
+            "which in-process serving (--workers 1) does not have; serve "
+            "with --workers N (N > 1) to use them"
+        )
     if args.max_queue is not None and args.max_queue <= 0:
         raise SystemExit(f"--max-queue must be positive, got {args.max_queue}")
     if args.max_retries < 0:
@@ -280,19 +294,16 @@ def _serve(args: argparse.Namespace) -> str:
     lines = [plan.summary()]
     if tune_note is not None:
         lines.append(tune_note)
-    if args.pool == "thread" and workers == 1 and not args.shard_layers:
-        # The degenerate one-worker pool — unless sharding was asked for,
-        # which needs a real pool's scatter/gather path.
+    if workers == 1:
         executor_cm = PlanExecutor(model, plan)
     else:
-        pool_kwargs = {}
-        if args.pool == "process":
-            # Supervision knobs only exist on the process pool (thread
-            # workers share the parent and cannot die independently).
-            pool_kwargs["respawn"] = args.respawn
-            if args.request_timeout is not None:
-                pool_kwargs["request_timeout"] = args.request_timeout
-        executor_cm = make_pool(args.pool, model, plan, workers=workers, **pool_kwargs)
+        executor_cm = ProcessWorkerPool(
+            model,
+            plan,
+            workers=workers,
+            respawn=args.respawn,
+            request_timeout=args.request_timeout,
+        )
     window = {} if args.window is None else {"batch_window": args.window}
     metrics_note = None
     with executor_cm as executor:
@@ -309,25 +320,10 @@ def _serve(args: argparse.Namespace) -> str:
                 if args.metrics_port is not None
                 else None
             )
-            if args.shard_layers:
-                decisions = engine.enable_sharding()
-                chosen = {
-                    name: d.spec.num_shards
-                    for name, d in decisions.items()
-                    if d.spec is not None
-                }
-                lines.append(
-                    "sharding: "
-                    + (
-                        ", ".join(f"{n} x{k}" for n, k in sorted(chosen.items()))
-                        if chosen
-                        else "no layer beat its unsharded GEMM (all stay whole)"
-                    )
-                )
             flags: dict = {}
             previous_handlers = _install_serve_signals(flags)
             try:
-                futures = [engine.submit(x, shard=args.shard_layers) for x in requests]
+                futures = [engine.submit(x) for x in requests]
                 for f in futures:
                     while True:
                         if flags.pop("swap", False):
@@ -483,24 +479,11 @@ def main(argv: list[str] | None = None) -> int:
         help="fix one structured-GEMM backend for every compiled layer (compile/serve)",
     )
     parser.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="legacy spelling of --workers for the thread pool (serve)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker-pool substrate: thread replicas (share the GIL) or "
-        "worker processes attached to shared-memory operands (serve)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="pool workers; with --pool thread, 1 means a plain single "
-        "executor (defaults to --replicas) (serve)",
+        default=1,
+        help="1 serves in-process; N > 1 serves through N worker processes "
+        "attached to shared-memory operands (serve)",
     )
     parser.add_argument(
         "--tune-observed",
@@ -545,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="S",
         help="seconds a process-pool worker may hold one dispatch before it "
-        "is declared hung and retired (serve, --pool process)",
+        "is declared hung and retired (serve, --workers N > 1)",
     )
     parser.add_argument(
         "--max-retries",
@@ -560,14 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="supervise process-pool workers and respawn dead ones from the "
-        "shared plan segment (serve, --pool process)",
-    )
-    parser.add_argument(
-        "--shard-layers",
-        action="store_true",
-        help="latency mode: micro-benchmark per-layer shard counts, then "
-        "scatter each request's large layers across the pool's workers "
-        "(nnz-balanced row shards, gathered bit-identically) (serve)",
+        "shared plan segment (serve, --workers N > 1)",
     )
     parser.add_argument(
         "--drain-timeout",

@@ -18,19 +18,18 @@ Quickstart::
 The structured GEMMs behind every compiled forward dispatch through a
 pluggable kernel-backend registry (:mod:`repro.runtime.backends`);
 ``compile_plan(..., autotune=True)`` micro-benchmarks the candidates per
-layer and records each winner in the plan.  For worker-parallel serving,
-swap the :class:`PlanExecutor` for a worker pool
-(:mod:`repro.runtime.pool`): thread replicas share one process, process
-workers attach the compiled plan through shared memory and scale past the
-GIL::
+layer and records each winner in the plan.
+
+There are two execution substrates behind the engine
+(:mod:`repro.runtime.pool`): the in-process :class:`PlanExecutor` above,
+and :class:`ProcessWorkerPool`, whose worker processes attach the
+compiled plan through shared memory and run forwards concurrently, past
+the GIL::
 
     plan = compile_plan(model, transform, autotune=True)
-    with make_pool("process", model, plan, workers=4) as executor:
+    with ProcessWorkerPool(model, plan, workers=4) as executor:
         with ServingEngine(executor, workers=4) as engine:
             y = engine.infer(x)                    # forwards run concurrently
-
-(:class:`ReplicaExecutor` remains the established name for the thread
-pool, with its ``replicas=`` spelling.)
 
 Compiled plans persist across restarts (:mod:`repro.runtime.planio`):
 ``plan.save("plan.npz")`` writes a digest-keyed artifact and
@@ -42,7 +41,7 @@ processes as zero-copy shared-memory views.
 
 The runtime is observable end to end (:mod:`repro.runtime.metrics`,
 :mod:`repro.runtime.tracing`): per-layer GEMM latency histograms with
-fixed buckets merge exactly across thread and process workers, the
+fixed buckets merge exactly across worker threads and processes, the
 serving engine records queue-wait / batch-size / end-to-end latency
 histograms plus per-request traces in a bounded ring, and
 ``engine.serve_metrics(port=9100)`` exposes it all over HTTP —
@@ -105,7 +104,7 @@ from .metrics import (
     merge_snapshots,
     render_prometheus,
 )
-from .plan import ExecutionPlan, LayerPlan, compile_plan
+from .plan import ExecutionPlan, LayerPlan, compile_plan, row_nnz_stats
 from .planio import (
     PlanDigestError,
     PlanFormatError,
@@ -119,30 +118,14 @@ from .planio import (
 from .autoscale import Autoscaler
 from .chaos import ChaosMonkey, ChaosSpec, is_poisoned, poison_batch, skewed_plan
 from .pool import (
-    POOL_KINDS,
     PlanSwapError,
     PoolDegradedError,
     ProcessWorkerPool,
     RemoteTraceback,
-    ThreadWorkerPool,
     WorkerCrashError,
     WorkerPool,
-    make_pool,
 )
-from .replica import ReplicaExecutor
 from .serve import DeadlineExceeded, QueueFull, ServingEngine, SwapRejected
-from .shard import (
-    ShardDecision,
-    ShardSpec,
-    choose_shard_plan,
-    make_shard_spec,
-    partition_equal_nnz,
-    partition_equal_rows,
-    plan_shards,
-    row_nnz_profile,
-    row_nnz_stats,
-    slice_operand,
-)
 from .tracing import RequestTrace, Span, TraceBuffer
 
 __all__ = [
@@ -166,7 +149,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "OperandCache",
-    "POOL_KINDS",
     "PlanDigestError",
     "PlanExecutor",
     "PlanFormatError",
@@ -175,18 +157,14 @@ __all__ = [
     "ProcessWorkerPool",
     "QueueFull",
     "RemoteTraceback",
-    "ReplicaExecutor",
     "RequestStats",
     "RequestTrace",
     "ServeReport",
     "ServingEngine",
-    "ShardDecision",
-    "ShardSpec",
     "SharedArrayRef",
     "SharedOperandStore",
     "Span",
     "SwapRejected",
-    "ThreadWorkerPool",
     "TraceBuffer",
     "WorkerCrashError",
     "WorkerPool",
@@ -194,26 +172,18 @@ __all__ = [
     "attach_plan",
     "autotune_operand",
     "backend_names",
-    "choose_shard_plan",
     "compile_plan",
     "exact_backend_names",
     "export_executor_stats",
     "get_backend",
     "is_poisoned",
     "load_plan",
-    "make_pool",
-    "make_shard_spec",
     "merge_snapshots",
     "model_fingerprint",
-    "partition_equal_nnz",
-    "partition_equal_rows",
     "plan_fingerprint",
-    "plan_shards",
     "poison_batch",
-    "row_nnz_profile",
     "row_nnz_stats",
     "skewed_plan",
-    "slice_operand",
     "register_backend",
     "render_prometheus",
     "retune_plan",

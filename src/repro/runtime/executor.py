@@ -1,4 +1,4 @@
-"""Batched plan executor: runs compiled plans over input batches.
+"""In-process plan executor: runs compiled plans over input batches.
 
 The executor owns the model ↔ plan binding: entering it installs the plan
 on the model's GEMM layers (their eval-mode forward then consumes the
@@ -8,14 +8,13 @@ the uncompiled model.  One lock serialises execution, so the serving
 engine's worker threads can share an executor safely — at the cost of
 serialising their forwards.
 
-This is the degenerate, single-worker case of the
-:class:`repro.runtime.pool.WorkerPool` seam (it honours the same
-``install`` / ``run`` / ``stats`` contract and registers as a virtual
-subclass).  When worker throughput should scale instead, use a real pool:
-:class:`~repro.runtime.pool.ThreadWorkerPool` runs each worker against
-its own model replica sharing this same compiled plan, and
-:class:`~repro.runtime.pool.ProcessWorkerPool` runs worker processes over
-shared-memory operands, past the GIL.
+It is one of the runtime's two execution substrates: the in-process,
+single-worker case of the :class:`repro.runtime.pool.WorkerPool` seam
+(it honours the same ``install`` / ``run`` / ``stats`` contract and
+registers as a virtual subclass).  When throughput should scale with
+cores instead, serve through the other one,
+:class:`~repro.runtime.pool.ProcessWorkerPool`, whose worker processes
+run forwards concurrently over shared-memory operands, past the GIL.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -51,11 +50,29 @@ from .autotune import AutotuneResult, autotune_operand
 from .backends import DEFAULT_BACKEND, get_backend
 from .cache import CompiledOperand, OperandCache, tensor_digest
 from .counters import LayerCounters
-from .shard import ShardSpec, plan_shards, row_nnz_stats
 
-__all__ = ["LayerPlan", "ExecutionPlan", "compile_plan"]
+__all__ = ["LayerPlan", "ExecutionPlan", "compile_plan", "row_nnz_stats"]
 
 MODES = ("compiled", "per_call", "dense")
+
+
+def row_nnz_stats(operand: CompiledOperand) -> tuple[int, int, float, float]:
+    """``(total, max_row, mean_row, skew)`` of a compiled operand's per-row nnz.
+
+    Row ``r``'s count is the number of stored non-zeros in row ``r`` summed
+    over every TASD term (padding slots hold exact zeros and do not count).
+    ``skew`` is max-row over mean-row nnz: 1.0 means uniform work per
+    output row.
+    """
+    profile = np.zeros(operand.padded_shape[0], dtype=np.int64)
+    for vals in operand.flat_values:
+        profile += np.count_nonzero(vals, axis=1)
+    total = int(profile.sum())
+    if profile.size == 0 or total == 0:
+        return total, 0, 0.0, 1.0
+    mean = total / profile.size
+    max_row = int(profile.max())
+    return total, max_row, mean, max_row / mean
 
 
 @dataclass
@@ -80,11 +97,6 @@ class LayerPlan:
     backend: str = DEFAULT_BACKEND  # structured-GEMM kernel (compiled mode)
     autotune: AutotuneResult | None = None  # sweep that chose the backend
     weight_digest: str | None = None  # content digest of the source weight
-    shards: ShardSpec | None = None  # nnz-balanced shard table (persists with the plan)
-    # Scatter/gather hook: when set (pool driver replicas only), compiled
-    # GEMMs route through ``dispatcher(self, xt)`` instead of the local
-    # backend.  Never persisted, pickled, or compared.
-    dispatcher: Callable | None = field(default=None, repr=False, compare=False)
     counters: LayerCounters = field(default_factory=LayerCounters)
 
     def __post_init__(self) -> None:
@@ -136,10 +148,7 @@ class LayerPlan:
             xt = x2.T
             if xt.shape[0] != self.operand.padded_shape[1]:
                 xt = pad_to_multiple(xt, self.weight_config.block_lcm, axis=0)
-            if self.dispatcher is not None:
-                y = self.dispatcher(self, xt).T
-            else:
-                y = self.operand.matmul(xt, backend=self.backend).T
+            y = self.operand.matmul(xt, backend=self.backend).T
             structured = self.operand.slots * batch_rows
         elif self.mode == "per_call":
             w = self.dense_weight
@@ -172,11 +181,6 @@ class LayerPlan:
                 f"{self.operand.compressed_bits / 8192:.1f} KiB, "
                 f"row-skew {skew:.2f}x"
             )
-            if self.shards is not None:
-                storage += (
-                    f", {self.shards.num_shards} shards "
-                    f"({self.shards.imbalance:.2f}x nnz imbalance)"
-                )
         backend = self.backend if self.mode == "compiled" else "-"
         if self.autotune is not None:
             backend += f" ({self.autotune.speedup_vs_reference:.1f}x ref)"
@@ -273,19 +277,6 @@ class ExecutionPlan:
         export_executor_stats(registry, stats, self.backend_choices())
         return registry
 
-    def clone_layer_plans(self) -> dict[str, LayerPlan]:
-        """Per-replica layer plans: shared operands, private counters.
-
-        Everything expensive (compressed terms, gather tables, backend
-        state, the operand cache) is shared by reference — operands are
-        immutable — while each clone gets its own :class:`LayerCounters`
-        so concurrent replicas never race on the hot-path counters.
-        """
-        return {
-            name: dataclasses.replace(plan, counters=LayerCounters())
-            for name, plan in self.layers.items()
-        }
-
     # ------------------------------------------------------------------ #
     def save(self, path) -> Path:
         """Persist this plan to a single ``.npz`` + JSON-manifest artifact.
@@ -300,25 +291,20 @@ class ExecutionPlan:
         return save_plan(self, path)
 
     # ------------------------------------------------------------------ #
-    def install(self, model: Module, layer_plans: dict[str, LayerPlan] | None = None) -> None:
+    def install(self, model: Module) -> None:
         """Attach layer plans to the model's GEMM layers (the fast path).
 
         Any TASD transform applied via ``tasder.apply`` is cleared first:
         the plan subsumes both the weight and activation sides, and leaving
         the transform's forward wrappers in place would decompose every
-        activation twice per request.  ``layer_plans`` substitutes a clone
-        set (see :meth:`clone_layer_plans`) — the replica executor installs
-        one clone set per model replica.
+        activation twice per request.
         """
-        plans = layer_plans if layer_plans is not None else self.layers
-        if set(plans) != set(self.layers):
-            raise KeyError("layer_plans must cover exactly the plan's layers")
         layers = dict(gemm_layers(model, include_head=True))
-        missing = set(plans) - set(layers)
+        missing = set(self.layers) - set(layers)
         if missing:
             raise KeyError(f"plan names layers the model lacks: {sorted(missing)}")
         clear_transform(model)
-        for name, plan in plans.items():
+        for name, plan in self.layers.items():
             layers[name].set_compiled_plan(plan)
 
     def uninstall(self, model: Module) -> None:
@@ -355,7 +341,6 @@ def compile_plan(
     autotune_backends: tuple[str, ...] | None = None,
     autotune_exact_only: bool = False,
     observed_cols: dict[str, int] | None = None,
-    shards: int = 0,
 ) -> ExecutionPlan:
     """Compile a model + transform into an :class:`ExecutionPlan`.
 
@@ -375,11 +360,6 @@ def compile_plan(
     (:meth:`repro.runtime.counters.ExecutorStats.observed_cols`); when
     autotuning, a layer present in the map is timed on its observed width
     instead of the representative ``autotune_cols``.
-
-    ``shards > 1`` attaches an equal-nnz :class:`ShardSpec` table to every
-    shardable compiled layer (see :func:`repro.runtime.shard.plan_shards`);
-    the tables persist with the plan and let the pools scatter one
-    forward's big GEMMs across workers.
 
     ``cache_activations`` routes dynamic TASD-A views through the operand
     cache too.  Off by default: it only pays when identical activations
@@ -434,14 +414,10 @@ def compile_plan(
             # the operand still being resident in the (LRU-bounded) cache.
             weight_digest=w_digest,
         )
-    plan = ExecutionPlan(
+    return ExecutionPlan(
         layers=plans,
         transform=transform,
         cache=cache,
         mode=mode,
-        build_time=0.0,
+        build_time=time.perf_counter() - t0,
     )
-    if shards > 1:
-        plan_shards(plan, shards)
-    plan.build_time = time.perf_counter() - t0
-    return plan

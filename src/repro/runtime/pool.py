@@ -1,33 +1,27 @@
-"""Worker pools: the pluggable execution substrate behind the serving engine.
+"""Worker pools: the parallel execution substrate behind the serving engine.
 
-The serving engine used to be hardwired to *thread* replicas
-(:class:`~repro.runtime.replica.ReplicaExecutor`): each worker thread ran
-forwards on its own model replica, but every non-BLAS part of a forward
-still serialised on the GIL.  This module extracts the seam —
-:class:`WorkerPool`, the install/run/stats contract the engine actually
-drives — and provides two substrates behind it:
+The serving engine drives one seam, :class:`WorkerPool` — the
+install/run/stats contract — and the runtime has exactly two substrates
+behind it:
 
-- :class:`ThreadWorkerPool` — one model replica per worker thread.
-  Weights and the compiled plan are shared by reference; only the GIL
-  bounds scaling.  This is exactly the old ``ReplicaExecutor`` behaviour.
+- :class:`~repro.runtime.executor.PlanExecutor` — the in-process,
+  single-worker case: one model, one lock serialising its forwards.  It
+  is registered as a virtual subclass, so everything the engine accepts
+  is a :class:`WorkerPool`.
 - :class:`ProcessWorkerPool` — one worker *process* per worker.  The
   parent exports the compiled plan once through
   :func:`~repro.runtime.planio.share_plan` (operand arrays in a
   shared-memory segment); each child attaches zero-copy, installs the
   plan on its own unpickled model, and serves forwards with no GIL in
-  common.  This is the scaling unlock past thread replicas: decomposition
-  and compression cost is paid once (SparseRT's AOT specialisation), the
-  compressed operands are held once (S2TA keeps them resident across
-  PEs), and N cores run N forwards.
+  common.  Decomposition and compression cost is paid once (SparseRT's
+  AOT specialisation), the compressed operands are held once (S2TA keeps
+  them resident across PEs), and N cores run N forwards.
 
-:class:`~repro.runtime.executor.PlanExecutor` satisfies the same contract
-(a single lock-serialised worker) and is registered as a virtual subclass,
-so everything the engine accepts is a :class:`WorkerPool` — pick with
-:func:`make_pool` (CLI: ``serve --pool {thread,process} --workers N``).
-
-Both pools merge per-worker layer counters into one :meth:`stats` view and
-produce **bit-identical** outputs: thread replicas alias the same arrays,
-and process workers run the same kernels over byte-equal shared operands.
+The CLI picks between them by worker count: ``serve --workers 1`` serves
+in-process, ``--workers N`` (N > 1) through a process pool.  The process
+pool merges per-worker layer counters into one :meth:`stats` view and
+produces outputs **bit-identical** to :class:`PlanExecutor`: workers run
+the same kernels over byte-equal shared operands.
 
 The process pool is *supervised*: a background supervisor thread detects
 dead workers (pipe errors on a request, plus a periodic health-check ping
@@ -45,47 +39,31 @@ from __future__ import annotations
 
 import abc
 import collections
-import copy
 import dataclasses
 import itertools
 import multiprocessing
-import multiprocessing.connection
 import pickle
 import queue
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.analysis.annotations import hot_path
 from repro.nn.module import Module
 
-from .backends import get_backend
 from .counters import ExecutorStats, LayerCounters, WorkerStat
 from .executor import PlanExecutor
-from .plan import ExecutionPlan, LayerPlan
-from .shard import (
-    ShardDecision,
-    ShardSpec,
-    choose_shard_plan,
-    median_time,
-    shard_backend,
-    shard_partial,
-    slice_operand,
-)
+from .plan import ExecutionPlan
 
 __all__ = [
-    "POOL_KINDS",
     "RemoteTraceback",
     "WorkerCrashError",
     "PoolDegradedError",
     "PlanSwapError",
     "WorkerPool",
-    "ThreadWorkerPool",
     "ProcessWorkerPool",
-    "make_pool",
 ]
 
 
@@ -171,29 +149,6 @@ class WorkerPool(abc.ABC):
         """Run a sequence of batches, returning their outputs in order."""
         return [self.run(x) for x in batches]
 
-    @hot_path
-    def run_sharded(self, x: np.ndarray, observer=None) -> np.ndarray:
-        """One forward with its large layers scattered across workers.
-
-        Substrates with a scatter/gather path override this; the default
-        is a plain :meth:`run` so callers can request sharding without
-        caring whether the pool supports it (correct, just not faster).
-        ``observer``, when given, is called with each shard's wall-clock
-        seconds (the serving engine's per-shard latency histogram).
-        """
-        del observer  # no shards to observe on the default path
-        return self.run(x)
-
-    def auto_shard(self, max_shards: int | None = None, **kwargs) -> dict:
-        """Micro-benchmark and install per-layer shard counts.
-
-        Returns per-layer :class:`~repro.runtime.shard.ShardDecision`
-        objects; substrates without a scatter path return ``{}`` and stay
-        unsharded.
-        """
-        del max_shards, kwargs
-        return {}
-
     @abc.abstractmethod
     def stats(self) -> ExecutorStats:
         """Counters merged across all workers plus whole-forward timing."""
@@ -250,557 +205,6 @@ class WorkerPool(abc.ABC):
 WorkerPool.register(PlanExecutor)
 
 
-def _replicate_model(model: Module) -> Module:
-    """Deep-copy a model while aliasing every weight/grad/buffer array.
-
-    Weights (and eval-time buffers like running BatchNorm statistics) are
-    immutable at inference: seeding the deepcopy memo with their arrays
-    makes the replica alias the source model's tensors, so a replica
-    costs layer objects and forward caches — never weights.
-    """
-    memo: dict[int, object] = {}
-    for p in model.parameters():
-        memo[id(p.data)] = p.data
-        # Replicas are inference-only, so sharing gradient storage is
-        # safe and avoids duplicating weight-sized buffers per replica.
-        memo[id(p.grad)] = p.grad
-    for _, buf in model.named_buffers():
-        memo[id(buf)] = buf
-    replica = copy.deepcopy(model, memo)
-    replica.eval()
-    return replica
-
-
-# ---------------------------------------------------------------------- #
-# Scatter/gather sharding: shared driver machinery for both pools
-# ---------------------------------------------------------------------- #
-class _ShardingMixin:
-    """Scatter/gather plumbing shared by the thread and process pools.
-
-    :meth:`run_sharded` runs one forward on a *driver* replica whose
-    shard-tabled layers dispatch through the pool's ``_scatter_layer``
-    hook (see :attr:`LayerPlan.dispatcher`): the layer's GEMM fans out as
-    K shard tasks over the pool's workers and the partial outputs are
-    concatenated back in row order.  Everything else in the forward runs
-    locally on the driver, so only the layers whose tables say sharding
-    pays ever cross a worker boundary.
-
-    Shard tables come from the plan itself (``compile_plan(...,
-    shards=K)`` / :func:`~repro.runtime.shard.plan_shards`) or from
-    :meth:`configure_sharding` (the serving engine installs
-    :meth:`auto_shard`'s measured decisions there).
-    """
-
-    def _init_sharding(self) -> None:
-        # RLock, deliberately: run_sharded holds it across the driver
-        # forward, and _scatter_layer (plus the observer read) re-enters
-        # from inside that forward.
-        self._driver_lock = threading.RLock()
-        self._shard_specs: dict[str, ShardSpec] | None = None  # guarded-by: _driver_lock
-        self._shard_driver: Module | None = None  # guarded-by: _driver_lock
-        self._shard_observer = None  # guarded-by: _driver_lock
-        # Layer-plan clones of every driver generation, retained so stats()
-        # keeps sharded forwards' counters across swaps (same contract as
-        # the thread pool's retained replica plans).
-        self._shard_driver_plans: list[dict[str, LayerPlan]] = []  # guarded-by: _driver_lock
-        self._sharded_forwards = 0  # guarded-by: _stats_lock
-        self._shard_retries = 0  # guarded-by: _stats_lock
-
-    # ------------------------------------------------------------------ #
-    def configure_sharding(self, specs: dict[str, ShardSpec] | None) -> None:
-        """Install per-layer shard tables for :meth:`run_sharded`.
-
-        ``None`` means "use the plan's own tables" (the default); an
-        explicit dict — possibly empty — overrides them (the serving
-        engine installs :meth:`auto_shard` decisions here).  The driver
-        replica is rebuilt lazily on the next sharded forward.
-        """
-        with self._driver_lock:
-            self._shard_specs = None if specs is None else dict(specs)
-            self._shard_driver = None
-
-    def _shard_tables(self) -> dict[str, ShardSpec]:
-        """Effective shard tables: the configured override, else every
-        plan layer carrying a multi-shard table on a slice-safe backend."""
-        with self._driver_lock:
-            specs = self._shard_specs
-        if specs is not None:
-            return dict(specs)
-        tables: dict[str, ShardSpec] = {}
-        for name, lp in self.plan.layers.items():
-            if (
-                lp.shards is not None
-                and lp.shards.num_shards > 1
-                and lp.operand is not None
-                and get_backend(lp.backend).shard_safe
-            ):
-                tables[name] = lp.shards
-        return tables
-
-    def _ensure_shard_driver(self) -> Module:
-        """Build (lazily) the driver replica whose shard-tabled layers
-        dispatch through :meth:`_scatter_layer`."""
-        with self._driver_lock:
-            if self._shard_driver is not None:
-                return self._shard_driver
-            tables = self._shard_tables()
-            replica = _replicate_model(self.model)
-            layer_plans = self.plan.clone_layer_plans()
-            for name, spec in tables.items():
-                lp = layer_plans.get(name)
-                if lp is None or lp.operand is None:
-                    continue
-                layer_plans[name] = dataclasses.replace(
-                    lp, shards=spec, dispatcher=self._scatter_layer
-                )
-            self.plan.install(replica, layer_plans)
-            self._shard_driver = replica
-            self._shard_driver_plans.append(layer_plans)
-            return replica
-
-    def _reset_shard_driver(self) -> None:
-        """Drop the driver replica (plan swapped / pool reconfigured).
-
-        Never call while holding ``_state_lock`` — run_sharded acquires
-        ``_driver_lock`` before (re)entering install's state lock, so the
-        opposite nesting would be an ABBA deadlock.
-        """
-        with self._driver_lock:
-            self._shard_driver = None
-
-    # ------------------------------------------------------------------ #
-    @hot_path
-    def run_sharded(self, x: np.ndarray, observer=None) -> np.ndarray:
-        """One timed forward with shard-tabled layers scattered over the
-        pool's workers; falls back to :meth:`run` when no layer has a
-        table.  ``observer`` is called with each shard's wall seconds.
-
-        Sharded forwards serialise on the driver (one in flight at a
-        time): this is the latency mode for one big request, not a
-        throughput mode — concurrent small batches keep using
-        :meth:`run`.
-        """
-        x = np.asarray(x)
-        self.install()
-        if not self._shard_tables():
-            return self.run(x)
-        driver = self._ensure_shard_driver()
-        t0 = time.perf_counter()
-        with self._driver_lock:
-            self._shard_observer = observer
-            try:
-                y = driver(x)
-            finally:
-                self._shard_observer = None
-        elapsed = time.perf_counter() - t0
-        with self._stats_lock:
-            self._batches += 1
-            self._samples += int(x.shape[0])
-            self._wall_time += elapsed
-            self._sharded_forwards += 1
-        return y
-
-    # ------------------------------------------------------------------ #
-    @property
-    def sharded_forwards(self) -> int:
-        """Forwards served through the scatter/gather path (telemetry)."""
-        with self._stats_lock:
-            return self._sharded_forwards
-
-    @property
-    def shard_retries(self) -> int:
-        """Shard tasks re-dispatched after a worker death (telemetry)."""
-        with self._stats_lock:
-            return self._shard_retries
-
-    def _measure_shard_overhead(self, sample_cols: int = 8, repeats: int = 3) -> float:
-        """Measured per-shard fan-out cost in seconds (0.0 by default)."""
-        del sample_cols, repeats
-        return 0.0
-
-    def auto_shard(
-        self,
-        max_shards: int | None = None,
-        sample_cols: int = 8,
-        repeats: int = 3,
-        min_speedup: float = 1.05,
-    ) -> dict[str, ShardDecision]:
-        """Choose per-layer shard counts from micro-benchmarks and install them.
-
-        The fan-out overhead is *measured* on this pool's actual dispatch
-        path (a full-layer shard round-trip minus the local GEMM), then
-        charged per shard in :func:`~repro.runtime.shard.choose_layer_shards`
-        — tiny layers stay unsharded because the numbers say so.  Returns
-        the per-layer decisions; layers whose decision has ``spec=None``
-        keep running unsharded.
-        """
-        self.install()
-        if max_shards is None:
-            max_shards = self.workers
-        overhead = self._measure_shard_overhead(sample_cols=sample_cols, repeats=repeats)
-        decisions = choose_shard_plan(
-            self.plan,
-            max_shards,
-            overhead_s=overhead,
-            sample_cols=sample_cols,
-            repeats=repeats,
-            min_speedup=min_speedup,
-        )
-        self.configure_sharding(
-            {name: d.spec for name, d in decisions.items() if d.spec is not None}
-        )
-        return decisions
-
-
-# ---------------------------------------------------------------------- #
-# Thread pool: one model replica per worker thread
-# ---------------------------------------------------------------------- #
-class ThreadWorkerPool(_ShardingMixin, WorkerPool):
-    """Execute batches against one compiled plan across N model replicas.
-
-    The single-model :class:`PlanExecutor` must hold a lock across every
-    forward — layers cache forward state on ``self``, so one model
-    instance cannot run concurrent batches — which serialises all of the
-    serving engine's workers.  This pool removes the lock by giving each
-    worker its own *replica* of the model while sharing everything
-    immutable:
-
-    - parameter storage is aliased back to the source model (replicas add
-      per-layer Python objects and forward caches, not weight copies);
-    - the compiled :class:`ExecutionPlan` is shared — every replica serves
-      from the same :class:`CompiledOperand` terms, gather tables,
-      prepared backend state, and operand cache;
-    - only the per-layer perf counters are private per replica (cloned via
-      :meth:`ExecutionPlan.clone_layer_plans`), so the hot path never
-      races; :meth:`stats` merges them back into one view.
-
-    Replicas are checked out of a pool for the duration of one forward, so
-    up to ``workers`` batches execute concurrently with no shared mutable
-    state between them.  Throughput then scales with workers as far as the
-    machine's cores *and the GIL* allow — NumPy releases it inside BLAS,
-    but every Python-level part of a forward still serialises.  For
-    scaling past that, use :class:`ProcessWorkerPool`.
-
-    The source ``model`` itself is never touched: replicas are built from
-    it (weights aliased, not copied) and the plan is installed on the
-    replicas only, so the caller's model keeps its uncompiled forward.
-    """
-
-    def __init__(self, model: Module, plan: ExecutionPlan, workers: int = 2) -> None:
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.model = model
-        self.plan = plan
-        self.workers = workers
-        self._pool: "queue.Queue[Module]" = queue.Queue()
-        self._replica_plans: list[dict[str, LayerPlan]] = []  # guarded-by: _state_lock
-        self._installed = False  # guarded-by: _state_lock
-        self._state_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        self._batches = 0  # guarded-by: _stats_lock
-        self._samples = 0  # guarded-by: _stats_lock
-        self._wall_time = 0.0  # guarded-by: _stats_lock
-        # Worker identity for telemetry: uid per replica, unique across
-        # generations; request counts survive close() like the counters do.
-        self._uids = itertools.count()
-        self._replica_uid: dict[int, int] = {}  # guarded-by: _stats_lock
-        self._worker_requests: dict[int, int] = {}  # guarded-by: _stats_lock
-        self._current_uids: set[int] = set()  # guarded-by: _stats_lock
-        self._init_sharding()
-        self._shard_executor: ThreadPoolExecutor | None = None  # guarded-by: _driver_lock
-        # Memoised zero-copy operand row slices keyed (layer, start, stop).
-        # Populated from shard-executor threads without a lock: entries are
-        # pure functions of the key, so a racing double-build is benign.
-        self._shard_slices: dict = {}
-
-    # ------------------------------------------------------------------ #
-    def _build_replica(
-        self, plan: ExecutionPlan | None = None
-    ) -> tuple[Module, dict[str, LayerPlan]]:
-        plan = plan if plan is not None else self.plan
-        replica = _replicate_model(self.model)
-        layer_plans = plan.clone_layer_plans()
-        plan.install(replica, layer_plans)
-        return replica, layer_plans
-
-    # lint: disable=guarded-field — every caller (install/scale_to/swap_plan)
-    # already holds _state_lock around the _replica_plans append
-    def _enroll_replica(self, replica: Module, layer_plans: dict[str, LayerPlan]) -> None:
-        """Register one built replica: uid, telemetry, the checkout pool."""
-        uid = next(self._uids)
-        with self._stats_lock:
-            self._replica_uid[id(replica)] = uid
-            self._worker_requests.setdefault(uid, 0)
-            self._current_uids.add(uid)
-        self._pool.put(replica)
-        self._replica_plans.append(layer_plans)
-
-    def install(self) -> "ThreadWorkerPool":
-        with self._state_lock:
-            if not self._installed:
-                for _ in range(self.workers):
-                    replica, layer_plans = self._build_replica()
-                    self._enroll_replica(replica, layer_plans)
-                self._installed = True
-        return self
-
-    def close(self) -> None:
-        """Discard the replica pool (the source model was never modified).
-
-        Waits for in-flight forwards, then drops the replicas.  Their
-        layer-plan clones are kept so :meth:`stats` keeps reporting the
-        accumulated counters after close — the same post-close behaviour
-        as :class:`PlanExecutor`.  A later :meth:`run`/:meth:`install`
-        builds a fresh replica generation whose counters merge on top.
-        """
-        # Shard teardown strictly before the state lock: run_sharded nests
-        # _driver_lock -> _state_lock, so the opposite order would deadlock.
-        with self._driver_lock:
-            executor = self._shard_executor
-            self._shard_executor = None
-            self._shard_driver = None
-            self._shard_slices.clear()
-        if executor is not None:
-            executor.shutdown(wait=True)
-        with self._state_lock:
-            if not self._installed:
-                return
-            # Wait for in-flight forwards: every replica must be back home.
-            for _ in range(self.workers):
-                replica = self._pool.get()
-                with self._stats_lock:
-                    # Drop the id mapping: the replica is about to be GC'd
-                    # and a later generation's replica could reuse its id().
-                    self._replica_uid.pop(id(replica), None)
-            with self._stats_lock:
-                self._current_uids.clear()
-            self._installed = False
-
-    # ------------------------------------------------------------------ #
-    @hot_path
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """One timed forward on whichever replica is free first.
-
-        Blocks until a replica is available; no lock is held while the
-        forward runs, so up to ``workers`` calls proceed concurrently.
-        """
-        x = np.asarray(x)
-        # install() then checkout with one blocking wait per liveness
-        # re-check: a close() racing this call can drain the pool after our
-        # install() check, and a plain blocking get() would then hang
-        # forever.  On wakeup the install() is what refills the pool (lazy
-        # reinstall-after-close); a generous timeout keeps the idle path
-        # from busy-spinning through install()'s state lock.
-        while True:
-            self.install()
-            try:
-                replica = self._pool.get(timeout=0.5)
-                break
-            except queue.Empty:
-                continue
-        try:
-            t0 = time.perf_counter()
-            y = replica(x)
-            elapsed = time.perf_counter() - t0
-        finally:
-            self._pool.put(replica)
-        with self._stats_lock:
-            # uid looked up under the lock: a concurrent close() popping the
-            # mapping mid-read would otherwise race this .get().
-            uid = self._replica_uid.get(id(replica))
-            self._batches += 1
-            self._samples += int(x.shape[0])
-            self._wall_time += elapsed
-            if uid is not None:
-                self._worker_requests[uid] = self._worker_requests.get(uid, 0) + 1
-        return y
-
-    # ------------------------------------------------------------------ #
-    # Scatter/gather sharding (thread substrate)
-    # ------------------------------------------------------------------ #
-    def _ensure_shard_executor(self) -> ThreadPoolExecutor:
-        # Separate from the replica pool on purpose: shard tasks are slices
-        # of one forward and must not compete with whole-forward checkouts
-        # for the same workers (a K-way fan-out deadlocking on its own pool).
-        with self._driver_lock:
-            if self._shard_executor is None:
-                self._shard_executor = ThreadPoolExecutor(
-                    max_workers=max(2, self.workers), thread_name_prefix="tasd-shard"
-                )
-            return self._shard_executor
-
-    @hot_path
-    def _shard_slice_matmul(
-        self, lp: LayerPlan, start: int, stop: int, xt: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """One shard task: rows ``[start, stop)`` of ``lp``'s GEMM."""
-        key = (lp.name, int(start), int(stop))
-        sliced = self._shard_slices.get(key)
-        if sliced is None:
-            sliced = slice_operand(lp.operand, start, stop)
-            self._shard_slices[key] = sliced
-        t0 = time.perf_counter()
-        part = sliced.matmul(xt, backend=shard_backend(lp.backend))
-        return part, time.perf_counter() - t0
-
-    @hot_path
-    def _scatter_layer(self, lp: LayerPlan, xt: np.ndarray) -> np.ndarray:
-        """Driver dispatch hook: fan one layer's GEMM out as shard tasks.
-
-        NumPy releases the GIL inside the kernels, so the slices genuinely
-        overlap; outputs concatenate in row order, bit-identical to the
-        unsharded GEMM (every shard backend is row-slice bit-safe).
-        """
-        spec = lp.shards
-        pool = self._ensure_shard_executor()
-        futures = [
-            pool.submit(self._shard_slice_matmul, lp, start, stop, xt)
-            for start, stop in spec.ranges
-        ]
-        with self._driver_lock:
-            observer = self._shard_observer
-        parts = []
-        for fut in futures:
-            part, elapsed = fut.result()
-            parts.append(part)
-            if observer is not None:
-                observer(elapsed)
-        return np.concatenate(parts, axis=0)
-
-    def _measure_shard_overhead(self, sample_cols: int = 8, repeats: int = 3) -> float:
-        """Per-shard fan-out cost: one executor submit/result round-trip."""
-        del sample_cols  # thread fan-out cost is payload-size independent
-        pool = self._ensure_shard_executor()
-        return median_time(lambda: pool.submit(int).result(), repeats=repeats)
-
-    # ------------------------------------------------------------------ #
-    def stats(self) -> ExecutorStats:
-        """Counters merged across all replicas plus whole-forward timing.
-
-        ``wall_time`` sums per-forward time across replicas, so with
-        concurrent workers it can exceed elapsed wall-clock — it measures
-        compute volume, like CPU time.  The snapshot is taken without
-        stopping in-flight forwards; concurrently-running batches may be
-        partially reflected.
-        """
-        with self._stats_lock:
-            batches, samples, wall = self._batches, self._samples, self._wall_time
-        with self._state_lock:
-            replica_plans = list(self._replica_plans)
-        with self._driver_lock:
-            replica_plans.extend(self._shard_driver_plans)
-        layers: dict[str, LayerCounters] = {}
-        for name in self.plan.layers:
-            merged = LayerCounters()
-            for layer_plans in replica_plans:
-                merged = merged.merged_with(layer_plans[name].counters)
-            layers[name] = merged
-        return ExecutorStats(
-            batches=batches,
-            samples=samples,
-            wall_time=wall,
-            layers=layers,
-            cache=dataclasses.replace(self.plan.cache.counters),
-        )
-
-    def worker_stats(self) -> list[WorkerStat]:
-        with self._state_lock:
-            installed = self._installed
-        with self._stats_lock:
-            current = set(self._current_uids)
-            return [
-                WorkerStat(uid=uid, alive=installed and uid in current, requests=n)
-                for uid, n in sorted(self._worker_requests.items())
-            ]
-
-    # ------------------------------------------------------------------ #
-    # Zero-downtime operations: hot plan-swap and elastic resize
-    # ------------------------------------------------------------------ #
-    def utilization(self) -> float:
-        """Fraction of replicas checked out right now (autoscaler signal)."""
-        with self._state_lock:
-            if not self._installed:
-                return 0.0
-            total = self.workers
-        busy = total - self._pool.qsize()
-        return max(0.0, min(1.0, busy / max(total, 1)))
-
-    def scale_to(self, n: int) -> int:
-        """Resize to ``n`` replicas; returns the delta applied.
-
-        Scale-ups build fresh replicas (weights aliased, plan shared);
-        scale-downs wait for busy replicas to come home, then drop them.
-        Dropped replicas' layer-plan clones stay behind so :meth:`stats`
-        keeps their accumulated counters.
-        """
-        if n <= 0:
-            raise ValueError(f"workers must be positive, got {n}")
-        with self._state_lock:
-            delta = n - self.workers
-            if not self._installed:
-                self.workers = n
-                return delta
-            for _ in range(max(0, delta)):
-                replica, layer_plans = self._build_replica()
-                self._enroll_replica(replica, layer_plans)
-            for _ in range(max(0, -delta)):
-                replica = self._pool.get()  # waits for in-flight forwards
-                with self._stats_lock:
-                    uid = self._replica_uid.pop(id(replica), None)
-                    if uid is not None:
-                        self._current_uids.discard(uid)
-            self.workers = n
-            return delta
-
-    def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
-        """Replace the serving plan across every replica.
-
-        A probe replica is built on ``new_plan`` first and — when
-        ``canary`` is given — validated *before* any serving replica is
-        touched, so a rejected plan never serves a request.  On success
-        the pool quiesces (waits for in-flight forwards), retires the old
-        replicas, and enrolls a fresh generation on the new plan, with
-        the probe replica recycled as the first worker.  Old replicas'
-        counters stay merged into :meth:`stats`.
-        """
-        self.install()
-        with self._state_lock:
-            probe, probe_plans = self._build_replica(new_plan)
-            if canary is not None:
-                canary(lambda x: probe(np.asarray(x)))  # raising rejects the swap
-            old = [self._pool.get() for _ in range(self.workers)]
-            with self._stats_lock:
-                for replica in old:
-                    self._replica_uid.pop(id(replica), None)
-                self._current_uids.clear()
-            self.plan = new_plan
-            self._enroll_replica(probe, probe_plans)
-            for _ in range(self.workers - 1):
-                replica, layer_plans = self._build_replica()
-                self._enroll_replica(replica, layer_plans)
-            swapped = self.workers
-        # Outside the state lock (lock-order discipline, see close()): the
-        # driver and the operand slices belong to the plan just replaced.
-        with self._driver_lock:
-            self._shard_driver = None
-            self._shard_slices.clear()
-        return swapped
-
-    def reset_stats(self) -> None:
-        with self._stats_lock:
-            self._batches = self._samples = 0
-            self._wall_time = 0.0
-            self._worker_requests = {uid: 0 for uid in self._worker_requests}
-        with self._state_lock:
-            replica_plans = list(self._replica_plans)
-        with self._driver_lock:
-            replica_plans.extend(self._shard_driver_plans)
-        for layer_plans in replica_plans:
-            for plan in layer_plans.values():
-                plan.counters.reset()
-        self.plan.cache.counters.reset()
-
-
 # ---------------------------------------------------------------------- #
 # Process pool: one worker process per worker, shared-memory operands
 # ---------------------------------------------------------------------- #
@@ -847,9 +251,6 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
         return
     served = 0
     swaps = 0
-    # Memoised zero-copy operand row slices for "run_shard" — views into
-    # the attached segment keyed (layer, start, stop); dropped on swap.
-    shard_slices: dict = {}
     try:
         conn.send(("ready", None))
         while True:
@@ -872,27 +273,6 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
                 # lint: disable=broad-except — every request failure is
                 # shipped to the parent as ("err", exc, tb); the serving loop
                 # must survive any single bad request
-                except Exception as exc:
-                    tb = traceback.format_exc()
-                    try:
-                        conn.send(("err", (exc, tb)))
-                    # lint: disable=broad-except — unpicklable exception
-                    # object: degrade to a string-carrying RuntimeError
-                    except Exception:
-                        conn.send(("err", (RuntimeError(f"{type(exc).__name__}: {exc}"), tb)))
-            elif cmd == "run_shard":
-                # One shard of a sharded forward: output rows [start, stop)
-                # of one compiled layer's GEMM, computed on a zero-copy row
-                # slice of the shared operand.  No chaos injection and no
-                # served-count bump — a shard is a slice of the driver's
-                # forward, not a request of its own.
-                try:
-                    name, xt, start, stop = payload
-                    t0 = time.perf_counter()
-                    part = shard_partial(plan, name, xt, start, stop, shard_slices)
-                    conn.send(("ok", (part, time.perf_counter() - t0)))
-                # lint: disable=broad-except — shard failures are shipped to
-                # the parent as ("err", exc, tb) like any request failure
                 except Exception as exc:
                     tb = traceback.format_exc()
                     try:
@@ -936,9 +316,6 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
                     plan, store = new_plan, new_store
                     # Drop the old plan's operand views *before* detaching
                     # the old segment (same discipline as shutdown below).
-                    # Shard slices are views too — and their (layer, range)
-                    # keys would collide with the new plan's operands.
-                    shard_slices.clear()
                     del new_plan, old_plan
                     if old_store is not None:
                         old_store.close()
@@ -973,7 +350,7 @@ class _ProcWorker:
     conn: object  # parent end of the pipe
 
 
-class ProcessWorkerPool(_ShardingMixin, WorkerPool):
+class ProcessWorkerPool(WorkerPool):
     """Execute batches across N worker *processes* sharing one compiled plan.
 
     The parent pays plan compilation once, exports it once
@@ -982,11 +359,11 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
     worker process attaches the segment zero-copy — N workers hold one
     copy of the compressed operands — and runs forwards with no GIL in
     common, so throughput scales with cores even for the Python-level
-    parts of a forward that thread replicas serialise.
+    parts of a forward.
 
-    Outputs are bit-identical to the thread pool (and to
-    :class:`PlanExecutor`): workers run the same kernels over byte-equal
-    operand storage, and request arrays round-trip the pipe losslessly.
+    Outputs are bit-identical to :class:`PlanExecutor`: workers run the
+    same kernels over byte-equal operand storage, and request arrays
+    round-trip the pipe losslessly.
 
     ``mp_context`` picks the start method: the default prefers ``fork``
     (fast start, shares the parent's page cache) where available and falls
@@ -1075,8 +452,7 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
         self._samples = 0  # guarded-by: _stats_lock
         self._wall_time = 0.0  # guarded-by: _stats_lock
         # Latest cumulative per-layer counters per worker uid.  Kept across
-        # close() so stats survive it (old generations merge with new ones,
-        # exactly like the thread pool's retained replica plans).
+        # close() so stats survive it (old generations merge with new ones).
         self._counter_snapshots: dict[int, dict[str, LayerCounters]] = {}  # guarded-by: _stats_lock
         # Telemetry: liveness + served-forward count per worker uid.  Kept
         # across close() too, so a scrape can still see retired workers.
@@ -1098,7 +474,6 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
         self._next_respawn_at = 0.0  # monotonic time the backoff gate opens
         self.respawns = 0
         self.deaths = 0
-        self._init_sharding()
 
     # ------------------------------------------------------------------ #
     def _start_worker(self) -> _ProcWorker:
@@ -1333,8 +708,8 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
         Waits for in-flight forwards (workers come home before stopping),
         keeps accumulated counters readable afterwards, and a later
         :meth:`run`/:meth:`install` brings up a fresh worker generation
-        whose counters merge on top — the same post-close contract as the
-        thread pool.
+        whose counters merge on top — the same post-close contract as
+        :class:`PlanExecutor`.
         """
         # Stop the supervisor before taking the state lock: it must not
         # respawn (or hold workers out for pings) while teardown collects
@@ -1348,16 +723,7 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
         with self._state_lock:
             if not self._installed:
                 return
-            collected: list[_ProcWorker] = []
-            while True:
-                with self._stats_lock:
-                    live = self._live
-                if len(collected) >= live:
-                    break
-                try:
-                    collected.append(self._free.get(timeout=0.05))
-                except queue.Empty:
-                    continue  # an in-flight run() will return its worker
+            collected = self._check_out_all()
             for worker in collected:
                 try:
                     worker.conn.send(("stop", None))
@@ -1385,6 +751,24 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
                 self._procs.clear()
             self._installed = False
 
+    def _check_out_all(self) -> list[_ProcWorker]:
+        """Quiesce: check every live worker out of the free queue.
+
+        Waits for in-flight forwards — each run() returns its worker.
+        Callers hold ``_state_lock``, which keeps a concurrent close() or
+        reset_stats() from splitting the fleet between two quiesces.
+        """
+        collected: list[_ProcWorker] = []
+        while True:
+            with self._stats_lock:
+                live = self._live
+            if len(collected) >= live:
+                return collected
+            try:
+                collected.append(self._free.get(timeout=0.05))
+            except queue.Empty:
+                continue
+
     # ------------------------------------------------------------------ #
     def _checkout_worker(self) -> _ProcWorker:
         """Block until a live worker frees up (degraded-aware).
@@ -1406,178 +790,6 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
                 return self._free.get(timeout=0.5)
             except queue.Empty:
                 continue  # re-check degraded/installed only on wakeup
-
-    # ------------------------------------------------------------------ #
-    # Scatter/gather sharding (process substrate)
-    # ------------------------------------------------------------------ #
-    def _send_shard(
-        self, worker: _ProcWorker, name: str, rng: tuple[int, int], xt: np.ndarray
-    ) -> bool:
-        """Dispatch one shard task; False (worker retired) on a dead pipe."""
-        start, stop = rng
-        try:
-            worker.conn.send(("run_shard", (name, xt, start, stop)))
-            return True
-        except (BrokenPipeError, OSError):
-            self._retire(worker)
-            return False
-
-    def _reclaim_shard_workers(self, busy: dict) -> None:
-        """Bring mid-shard workers back to a known pipe state before a raise.
-
-        A worker returned to the free queue with an unread shard reply in
-        its pipe would pair that stale reply with the *next* request — so
-        each busy worker either drains its reply within a grace period and
-        goes home, or is retired.
-        """
-        grace = self.request_timeout if self.request_timeout is not None else 5.0
-        for worker, _idx, _sent in busy.values():
-            try:
-                if worker.conn.poll(grace):
-                    worker.conn.recv()  # drain the stale shard reply
-                    self._free.put(worker)
-                else:
-                    self._retire(worker)
-            except (EOFError, OSError):
-                self._retire(worker)
-
-    @hot_path
-    def _scatter_layer(self, lp: LayerPlan, xt: np.ndarray) -> np.ndarray:
-        """Driver dispatch hook: fan one layer's GEMM out across workers.
-
-        Each shard task ships only the input activations and a row range —
-        workers slice the *already-attached* shm operands zero-copy, so no
-        operand bytes move.  A shard whose worker dies (pipe error or a
-        missed ``request_timeout``) is retired exactly like a crashed
-        batch and the shard is re-dispatched on a surviving or respawned
-        worker; partial outputs concatenate in row order.
-        """
-        spec = lp.shards
-        name = spec.layer
-        k = spec.num_shards
-        pending = collections.deque(range(k))
-        parts: list = [None] * k
-        busy: dict = {}  # conn -> (worker, shard index, sent-at monotonic)
-        crashes = 0
-        # Enough retry budget to survive a rolling crash per shard twice
-        # over, small enough that a poisoned layer fails fast.
-        crash_cap = max(2, 2 * k)
-        with self._driver_lock:
-            observer = self._shard_observer
-        try:
-            while pending or busy:
-                if crashes > crash_cap:
-                    raise WorkerCrashError(
-                        f"sharded forward of layer {name!r} lost {crashes} "
-                        "workers; giving up"
-                    )
-                # Fan out: block for the first worker when nothing is in
-                # flight (degraded-aware, like run()), take extras only if
-                # they are free right now — shards must never queue behind
-                # each other waiting for more workers than exist.
-                while pending:
-                    if busy:
-                        try:
-                            worker = self._free.get_nowait()
-                        except queue.Empty:
-                            break
-                    else:
-                        worker = self._checkout_worker()
-                    idx = pending.popleft()
-                    if self._send_shard(worker, name, spec.ranges[idx], xt):
-                        busy[worker.conn] = (worker, idx, time.monotonic())
-                    else:
-                        pending.appendleft(idx)
-                        crashes += 1
-                        with self._stats_lock:
-                            self._shard_retries += 1
-                        break  # back to the cap check / blocking checkout
-                if not busy:
-                    continue
-                ready = multiprocessing.connection.wait(list(busy), timeout=0.05)
-                for conn in ready:
-                    worker, idx, _sent = busy.pop(conn)
-                    try:
-                        tag, payload = conn.recv()
-                    except (EOFError, OSError):
-                        self._retire(worker)
-                        pending.append(idx)
-                        crashes += 1
-                        with self._stats_lock:
-                            self._shard_retries += 1
-                        continue
-                    if tag == "err":
-                        # Worker healthy, request bad: not retryable.
-                        self._free.put(worker)
-                        exc, tb = payload if isinstance(payload, tuple) else (payload, None)
-                        if tb is not None:
-                            exc.__cause__ = RemoteTraceback(tb)
-                        raise exc
-                    part, elapsed = payload
-                    parts[idx] = part
-                    if observer is not None:
-                        observer(elapsed)
-                    self._free.put(worker)  # the top-up loop re-grabs it
-                if self.request_timeout is not None:
-                    now = time.monotonic()
-                    for conn, (worker, idx, sent) in list(busy.items()):
-                        if now - sent > self.request_timeout:
-                            # Wedged worker: its eventual reply can never be
-                            # trusted to pair with the right shard again.
-                            del busy[conn]
-                            self._retire(worker)
-                            pending.append(idx)
-                            crashes += 1
-                            with self._stats_lock:
-                                self._shard_retries += 1
-        except BaseException:
-            self._reclaim_shard_workers(busy)
-            raise
-        return np.concatenate(parts, axis=0)
-
-    def _measure_shard_overhead(self, sample_cols: int = 8, repeats: int = 3) -> float:
-        """Per-shard fan-out cost: a full-layer shard round-trip over the
-        pipe minus the same GEMM computed locally, clamped at zero."""
-        candidates = [
-            (name, lp)
-            for name, lp in self.plan.layers.items()
-            if lp.operand is not None and lp.operand.flat_values
-        ]
-        if not candidates:
-            return 0.0
-        # The smallest layer: its round-trip is dominated by the fixed
-        # dispatch cost, so the subtraction isolates overhead with the
-        # least compute noise.
-        name, lp = min(candidates, key=lambda item: item[1].operand.padded_shape[0])
-        operand = lp.operand
-        rows = operand.padded_shape[0]
-        rng = np.random.default_rng(0)
-        xt = rng.standard_normal((operand.padded_shape[1], int(sample_cols))).astype(
-            operand.flat_values[0].dtype
-        )
-        worker = self._checkout_worker()
-        healthy = True
-
-        def roundtrip() -> None:
-            worker.conn.send(("run_shard", (name, xt, 0, rows)))
-            tag, payload = worker.conn.recv()
-            if tag != "ok":
-                exc, _tb = payload if isinstance(payload, tuple) else (payload, None)
-                raise exc
-
-        try:
-            remote = median_time(roundtrip, repeats=repeats)
-        except (EOFError, BrokenPipeError, OSError):
-            healthy = False
-            self._retire(worker)
-            return 0.0
-        finally:
-            if healthy:
-                self._free.put(worker)
-        local = median_time(
-            lambda: operand.matmul(xt, backend=shard_backend(lp.backend)), repeats=repeats
-        )
-        return max(0.0, remote - local)
 
     # ------------------------------------------------------------------ #
     @hot_path
@@ -1799,9 +1011,6 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
                     self.plan = new_plan
                     self._spec = new_spec
                     self._store = new_store
-                # The driver replica (if any) still serves the old plan's
-                # clones; workers cleared their own shard slices in-swap.
-                self._reset_shard_driver()
                 if old_store is not None:
                     # Every worker detached inside its swap command; the
                     # old segment has no readers left.
@@ -1910,20 +1119,14 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
         """Counters merged across all worker processes plus forward timing.
 
         Each worker ships its cumulative per-layer counters with every
-        ``run`` reply, so merging here needs no cross-process round-trip;
-        like the thread pool, ``wall_time`` sums per-forward time across
-        workers (compute volume, not elapsed wall-clock).
+        ``run`` reply, so merging here needs no cross-process round-trip.
+        ``wall_time`` sums per-forward time across workers, so with
+        concurrent workers it can exceed elapsed wall-clock — it measures
+        compute volume, like CPU time.
         """
         with self._stats_lock:
             batches, samples, wall = self._batches, self._samples, self._wall_time
             snapshots = list(self._counter_snapshots.values())
-        with self._driver_lock:
-            # Sharded forwards run on the parent-side driver replica; its
-            # clones count like one more worker's snapshot.
-            snapshots.extend(
-                {name: lp.counters for name, lp in plans.items()}
-                for plans in self._shard_driver_plans
-            )
         layers: dict[str, LayerCounters] = {}
         for name in self.plan.layers:
             merged = LayerCounters()
@@ -1962,20 +1165,8 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
         # with a close() (which also collects every live worker) would leave
         # each holding workers the other waits for, forever.
         with self._state_lock:
-            collected: list[_ProcWorker] = []
-            if self._installed:
-                # Check every live worker out so no forward is mid-flight
-                # while its counters reset (the same quiesce close()
-                # performs).
-                while True:
-                    with self._stats_lock:
-                        live = self._live
-                    if len(collected) >= live:
-                        break
-                    try:
-                        collected.append(self._free.get(timeout=0.05))
-                    except queue.Empty:
-                        continue
+            # No forward may be mid-flight while its counters reset.
+            collected = self._check_out_all() if self._installed else []
             try:
                 for worker in collected:
                     worker.conn.send(("reset", None))
@@ -1989,32 +1180,4 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
             self._wall_time = 0.0
             self._counter_snapshots.clear()
             self._worker_requests = {uid: 0 for uid in self._worker_requests}
-        with self._driver_lock:
-            for plans in self._shard_driver_plans:
-                for lp in plans.values():
-                    lp.counters.reset()
         self.plan.cache.counters.reset()
-
-
-# ---------------------------------------------------------------------- #
-POOL_KINDS = ("thread", "process")
-
-
-def make_pool(
-    kind: str,
-    model: Module,
-    plan: ExecutionPlan,
-    workers: int = 2,
-    **kwargs,
-) -> WorkerPool:
-    """Build a worker pool by kind (the CLI's ``--pool`` seam).
-
-    ``"thread"`` → :class:`ThreadWorkerPool`, ``"process"`` →
-    :class:`ProcessWorkerPool`; extra keyword arguments pass through to
-    the pool constructor (e.g. ``mp_context=`` for the process pool).
-    """
-    if kind == "thread":
-        return ThreadWorkerPool(model, plan, workers=workers, **kwargs)
-    if kind == "process":
-        return ProcessWorkerPool(model, plan, workers=workers, **kwargs)
-    raise ValueError(f"unknown pool kind {kind!r}; options: {POOL_KINDS}")

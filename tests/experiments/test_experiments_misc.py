@@ -72,6 +72,47 @@ class TestCli:
         assert "bogus" in message
         assert "einsum-gather" in message  # lists the valid names
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--request-timeout", "30"],
+            ["--no-respawn"],
+            ["--workers", "1", "--request-timeout", "30", "--no-respawn"],
+        ],
+    )
+    def test_process_only_flags_rejected_in_process(self, flags, monkeypatch):
+        """In-process serving has no worker process to time out or respawn,
+        so the supervision flags fail loudly — before the model is built —
+        instead of being silently dropped."""
+        from repro import cli
+
+        def no_model(args):
+            raise AssertionError("model built before the serve flags were checked")
+
+        monkeypatch.setattr(cli, "_runtime_model", no_model)
+        with pytest.raises(SystemExit, match="worker processes"):
+            main(["serve", *flags])
+
+    def test_workers_above_one_serve_through_a_supervised_process_pool(
+        self, capsys, monkeypatch
+    ):
+        import repro.runtime as runtime
+
+        built = []
+
+        class SpyPool(runtime.ProcessWorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runtime, "ProcessWorkerPool", SpyPool)
+        argv = ["serve", "--workers", "2", "--requests", "4", "--request-timeout", "30"]
+        assert main(argv + ["--no-respawn"]) == 0
+        (pool,) = built
+        assert pool.workers == 2
+        assert pool.request_timeout == 30.0 and pool.respawn is False
+        assert "requests" in capsys.readouterr().out
+
     def test_compile_save_then_serve_from_plan(self, capsys, tmp_path):
         plan_path = str(tmp_path / "plan.npz")
         assert main(["compile", "--save-plan", plan_path]) == 0

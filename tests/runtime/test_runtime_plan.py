@@ -15,7 +15,7 @@ from repro.nn.layers import Linear
 from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
-from repro.runtime import OperandCache, PlanExecutor, compile_plan
+from repro.runtime import OperandCache, PlanExecutor, compile_plan, row_nnz_stats
 from repro.tasder.transform import (
     TASDTransform,
     apply_activation_transform,
@@ -180,6 +180,23 @@ class TestCompiledModelForward:
         text = plan.summary()
         for name in plan.layers:
             assert name in text
+
+    def test_row_nnz_stats_and_skew_reporting(self, sparse_resnet):
+        w = np.zeros((4, 8))
+        w[0] = [1.0, 2.0, 0.0, 0.0, 3.0, 4.0, 0.0, 0.0]  # 2:4-exact, 4 nnz
+        w[1:, 0] = 5.0  # one nnz in every other row
+        operand = OperandCache().compress(w, CFG)
+        total, max_row, mean, skew = row_nnz_stats(operand)
+        assert (total, max_row) == (7, 4)
+        assert mean == pytest.approx(7 / 4) and skew == pytest.approx(4 / (7 / 4))
+        # The figure surfaces per layer in the summary and as a gauge.
+        model, transform = sparse_resnet
+        plan = compile_plan(model, transform)
+        assert "row-skew" in plan.summary()
+        series = plan.metrics_registry().snapshot()["tasd_plan_layer_nnz_skew"]["series"]
+        compiled = [n for n, lp in plan.layers.items() if lp.mode == "compiled"]
+        assert sorted(s["labels"]["layer"] for s in series) == sorted(compiled)
+        assert all(s["value"] >= 1.0 for s in series)
 
     def test_install_rejects_foreign_model(self, sparse_resnet, rng):
         _, transform = sparse_resnet

@@ -205,6 +205,47 @@ class TestRoundTrip:
         assert path.exists()
         assert load_plan(path, model).backend_choices() == plan.backend_choices()
 
+    def test_legacy_manifest_with_shard_tables_loads_and_serves(
+        self, sparse_resnet, batch, tmp_path
+    ):
+        """Version-1 artifacts written while the runtime still split layers
+        across workers carry a per-layer ``shards`` table; the key is
+        ignored and the plan serves exactly what a fresh artifact does."""
+        from repro.runtime.planio import PLAN_FORMAT_VERSION, _manifest_checksum
+
+        model, transform = sparse_resnet
+        plan = compile_plan(model, transform)
+        path = plan.save(tmp_path / "plan.npz")
+        arrays = _npz_dict(path)
+        manifest = json.loads(bytes(arrays[_MANIFEST_KEY]).decode())
+        assert manifest["version"] == PLAN_FORMAT_VERSION == 1
+        legacy = 0
+        for entry in manifest["layers"]:
+            if entry["mode"] != "compiled":
+                continue
+            rows = entry["padded_shape"][0]
+            half = rows // 2
+            entry["shards"] = {
+                "rows": rows,
+                "ranges": [[0, half], [half, rows]],
+                "nnz": [half, rows - half],
+            }
+            legacy += 1
+        assert legacy > 0
+        manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
+        arrays[_MANIFEST_KEY] = np.frombuffer(manifest_bytes, dtype=np.uint8)
+        arrays[_CHECKSUM_KEY] = np.frombuffer(
+            _manifest_checksum(manifest_bytes).encode(), dtype=np.uint8
+        )
+        _rewrite(path, arrays)
+        loaded = load_plan(path, model)
+        assert loaded.backend_choices() == plan.backend_choices()
+        with PlanExecutor(model, plan) as executor:
+            fresh = executor.run(batch)
+        with PlanExecutor(model, loaded) as executor:
+            legacy_out = executor.run(batch)
+        np.testing.assert_array_equal(legacy_out, fresh)
+
 
 class TestRefusals:
     def test_mismatched_weight_digest_refused(self, sparse_resnet, tmp_path):

@@ -18,10 +18,10 @@ from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
 from repro.runtime import (
     PlanExecutor,
+    ProcessWorkerPool,
     ServeReport,
     ServingEngine,
     compile_plan,
-    make_pool,
 )
 from repro.tasder.transform import TASDTransform
 
@@ -361,9 +361,16 @@ def _scrape(url: str):
         return resp.status, resp.read().decode()
 
 
-@pytest.mark.parametrize("pool_kind", ["thread", "process"])
-def test_live_metrics_endpoint_end_to_end(pool_kind):
-    """Serve over a real pool, scrape /metrics mid-flight, and check the
+@pytest.mark.parametrize(
+    "make_executor, pool_workers",
+    [
+        (lambda model, plan: PlanExecutor(model, plan), 1),
+        (lambda model, plan: ProcessWorkerPool(model, plan, workers=2), 2),
+    ],
+    ids=["plan-executor", "process-pool"],
+)
+def test_live_metrics_endpoint_end_to_end(make_executor, pool_workers):
+    """Serve over each substrate, scrape /metrics mid-flight, and check the
     scrape agrees with the engine's own report."""
     model = resnet18(num_classes=10, base_width=16)
     global_magnitude_prune(model, 0.6)
@@ -372,7 +379,7 @@ def test_live_metrics_endpoint_end_to_end(pool_kind):
     )
     plan = compile_plan(model, transform)
     rng = np.random.default_rng(25)
-    with make_pool(pool_kind, model, plan, workers=2) as pool:
+    with make_executor(model, plan) as pool:
         with ServingEngine(pool, max_batch=4, batch_window=0.005, workers=2) as engine:
             with engine.serve_metrics(port=0) as server:
                 futures = [engine.submit(rng.normal(size=(2, 3, 8, 8))) for _ in range(8)]
@@ -402,14 +409,14 @@ def test_live_metrics_endpoint_end_to_end(pool_kind):
     (latency_series,) = snap["tasd_serve_request_latency_seconds"]["series"]
     assert latency_series["count"] == report.count == 8
     assert snap["tasd_serve_requests_total"]["series"][0]["value"] == 8.0
-    # Both pool workers are visible and were alive mid-scrape.
+    # Every substrate worker is visible and was alive mid-scrape.
     workers = {
         s["labels"]["worker"]: s["value"]
         for s in snap["tasd_worker_alive"]["series"]
     }
-    assert set(workers) == {"0", "1"}
+    assert set(workers) == {str(uid) for uid in range(pool_workers)}
     assert all(v == 1.0 for v in workers.values())
-    assert health["ok"] is True and health["workers_alive"] == 2
+    assert health["ok"] is True and health["workers_alive"] == pool_workers
     # Per-layer GEMM histograms merged across workers: calls recorded on
     # every compiled layer, each histogram's count matching its call counter.
     calls = {
